@@ -26,19 +26,23 @@ from .errors import FlatCurveError
 # Interval quality metrics
 # ---------------------------------------------------------------------------
 
+def _intervals(y, lo, hi, metric: str):
+    """Targets and interval bounds as equal-length, non-empty 1-D arrays."""
+    y, lo, hi = (np.asarray(v, dtype=float) for v in (y, lo, hi))
+    if y.shape != lo.shape or y.shape != hi.shape or y.ndim != 1:
+        raise ValueError("y, lo, hi must be 1-D arrays of equal length")
+    if y.size == 0:
+        raise ValueError(f"{metric} of an empty sample is undefined")
+    return y, lo, hi
+
+
 def picp(y, lo, hi) -> float:
     """Prediction interval coverage probability.
 
     Fraction of targets with lo_i <= y_i <= hi_i; boundary hits count as
     covered.
     """
-    y = np.asarray(y, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if y.shape != lo.shape or y.shape != hi.shape or y.ndim != 1:
-        raise ValueError("y, lo, hi must be 1-D arrays of equal length")
-    if y.size == 0:
-        raise ValueError("coverage of an empty sample is undefined")
+    y, lo, hi = _intervals(y, lo, hi, "coverage")
     return float(np.mean((lo <= y) & (y <= hi)))
 
 
@@ -47,13 +51,7 @@ def pinaw(y, lo, hi) -> float:
 
     Mean interval width divided by the target range.
     """
-    y = np.asarray(y, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if y.shape != lo.shape or y.shape != hi.shape or y.ndim != 1:
-        raise ValueError("y, lo, hi must be 1-D arrays of equal length")
-    if y.size == 0:
-        raise ValueError("width of an empty sample is undefined")
+    y, lo, hi = _intervals(y, lo, hi, "width")
     span = float(y.max() - y.min())
     if span <= 0.0:
         raise ValueError("target range is zero; width cannot be normalized")

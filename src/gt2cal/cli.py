@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,15 @@ from .calibration import (
     coverage_at_alpha,
     export_calibration_curve,
     lookup_alpha,
-    picp,
-    pinaw,
 )
-from .core import ALPHA_MIN, predict_batch
+from .core import ALPHA_MIN, DEFAULT_PLANES
 from .harness import (
     NormalizationStats,
     format_report,
+    interval_metrics,
     load_csv,
     load_model,
     report_rows,
-    rmse,
     run_pipeline,
     save_model,
     split,
@@ -183,7 +182,6 @@ def _cmd_train(args) -> int:
         cfg = TrainConfig(tau_lo=args.taus[0], tau_hi=args.taus[1])
     else:
         cfg = TrainConfig.for_coverage(args.phi)
-    from dataclasses import replace
     cfg = replace(cfg, n_rules=args.rules, epochs=args.epochs,
                   minibatch=args.minibatch, lr=args.lr, seed=args.seed)
 
@@ -256,14 +254,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle, Xz, yz = _prepare_eval_data(args)
-    cfg = bundle.train_config or {}
-    planes = tuple(cfg.get("planes") or ()) or None
-    lo, hi, point = (predict_batch(Xz, args.alpha, bundle.params, planes)
-                     if planes else predict_batch(Xz, args.alpha, bundle.params))
+    planes = (bundle.train_config or {}).get("planes") or DEFAULT_PLANES
+    metrics = interval_metrics(bundle.params, Xz, yz, args.alpha, planes)
     print(f"alpha {args.alpha}")
-    print(f"picp {picp(yz, lo, hi):.6f}")
-    print(f"pinaw {pinaw(yz, lo, hi):.6f}")
-    print(f"rmse {rmse(yz, point):.6f}")
+    for name in ("picp", "pinaw", "rmse"):
+        print(f"{name} {metrics[name]:.6f}")
     return 0
 
 
@@ -287,7 +282,6 @@ def _cmd_report(args) -> int:
     seeds = [int(s) for s in spec.get("seeds", [1, 2, 3, 4, 5])]
     modes = spec.get("modes", ["calibrated", "direct"])
 
-    from dataclasses import replace
     cfg = TrainConfig()
     for key in ("epochs", "minibatch", "lr", "n_rules"):
         if key in spec:

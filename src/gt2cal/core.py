@@ -248,15 +248,19 @@ def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
     """
     gamma = pmf_batch(X, params)
     lower, upper = smf_bounds(gamma, alpha, params)
-    f_lower = _product_tnorm(lower)
     f_upper = _product_tnorm(upper)
+    _check_firing(f_upper)
+    return _product_tnorm(lower), f_upper
+
+
+def _check_firing(f_upper: np.ndarray) -> None:
+    """Raise unless some rule fires in every row of a (B, P) firing array."""
     total = f_upper.sum(axis=1)
     if np.any(total < FIRING_EPS):
         idx = int(np.argmax(total < FIRING_EPS))
         raise DegenerateFiringError(
-            f"input {idx} lies outside the support of every rule "
-            f"(total upper firing {total[idx]:.3e})")
-    return f_lower, f_upper
+            f"input row {idx} lies outside the support of every rule "
+            f"(total upper firing {total[idx]:.3e} < {FIRING_EPS:.0e})")
 
 
 def firing_intervals(x: np.ndarray, alpha: AlphaLevel | float,
@@ -276,6 +280,10 @@ def consequent_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
+    return _consequents(X, params)
+
+
+def _consequents(X: np.ndarray, params: ModelParams) -> np.ndarray:
     return X @ params.a.T + params.a0[None, :]
 
 
@@ -378,11 +386,7 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if fl.shape != fu.shape or fl.shape != y.shape or y.ndim != 2:
         raise ValueError("f_lower, f_upper and y must share shape (B, P)")
-    total = fu.sum(axis=1)
-    if np.any(total < FIRING_EPS):
-        idx = int(np.argmax(total < FIRING_EPS))
-        raise DegenerateFiringError(
-            f"total firing for row {idx} is below {FIRING_EPS:.0e}")
+    _check_firing(fu)
 
     order = np.argsort(y, axis=1, kind="stable")
     ys = np.take_along_axis(y, order, axis=1)
@@ -409,93 +413,20 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     return lo, hi
 
 
-def _km_scalar_iterative(ys, fls, fus, minimize):
-    """
-    Classic iterative Karnik-Mendel switch-point search for one instance.
-
-    Expects strictly increasing consequents with strictly positive lower
-    firings (the regime where convergence of the bracketing iteration is
-    classical).  Starts from the mid-weight average and re-brackets the
-    switch index until it stabilizes; returns None if it fails to settle.
-    """
-    P = ys.size
-    w = 0.5 * (fls + fus)
-    val = float(np.dot(w, ys) / w.sum())
-    prev_k = -1
-    for _ in range(P + 2):
-        k = min(max(int(np.count_nonzero(ys <= val)), 1), P - 1)
-        if minimize:
-            weights = np.concatenate([fus[:k], fls[k:]])
-        else:
-            weights = np.concatenate([fls[:k], fus[k:]])
-        val = float(np.dot(weights, ys) / weights.sum())
-        if k == prev_k:
-            return val
-        prev_k = k
-    return None
-
-
-def _km_scalar_scan(ys, fls, fus, minimize):
-    """Exact switch-candidate scan for one instance (handles zero firings)."""
-    best = None
-    P = ys.size
-    for k in range(P + 1):
-        if minimize:
-            weights = np.concatenate([fus[:k], fls[k:]])
-        else:
-            weights = np.concatenate([fls[:k], fus[k:]])
-        den = weights.sum()
-        if den <= 0.0:
-            continue
-        val = float(np.dot(weights, ys) / den)
-        if best is None or (val < best if minimize else val > best):
-            best = val
-    return best
-
-
 def km_type_reduce(f: FiringIntervals, y: np.ndarray) -> TypeReducedSet:
     """
     Type reduction of a single firing-interval vector.
 
-    Computes the exact interval of the firing-weighted average via the
-    iterative Karnik-Mendel switch-point procedure on consequents sorted
-    ascending.  Tied consequents merge into a single effective weight
-    interval; degenerate instances with zero lower firings, where the
-    bracketing iteration can stall, fall back to an exact candidate scan.
+    The one-row case of :func:`km_reduce_batch`: the exact interval of the
+    firing-weighted average, found by scanning every switch candidate of
+    the consequents sorted ascending.  Tied consequents and zero firings
+    need no special handling there.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != f.lower.shape:
         raise ValueError("consequent vector length must match rule count")
-    if f.upper.sum() < FIRING_EPS:
-        raise DegenerateFiringError(
-            f"total firing is below {FIRING_EPS:.0e}; no rule is active")
-
-    ys, inverse = np.unique(y, return_inverse=True)
-    fls = np.zeros_like(ys)
-    fus = np.zeros_like(ys)
-    np.add.at(fls, inverse, f.lower)
-    np.add.at(fus, inverse, f.upper)
-
-    if ys.size == 1:
-        v = float(ys[0])
-        return TypeReducedSet(lo=v, hi=v)
-
-    # The bracketing iteration needs all-positive weights of comparable
-    # magnitude: once firings span ~15 orders, its switch test is decided
-    # by rounding and it can settle on the wrong side.
-    w_min = float(fls.min())
-    if w_min > 0.0 and float(fus.max()) / w_min <= 1e12:
-        lo = _km_scalar_iterative(ys, fls, fus, minimize=True)
-        hi = _km_scalar_iterative(ys, fls, fus, minimize=False)
-    else:
-        lo = hi = None
-    if lo is None:
-        lo = _km_scalar_scan(ys, fls, fus, minimize=True)
-    if hi is None:
-        hi = _km_scalar_scan(ys, fls, fus, minimize=False)
-    if lo > hi:  # ulp-level inversion of a degenerate interval
-        lo = hi = 0.5 * (lo + hi)
-    return TypeReducedSet(lo=float(lo), hi=float(hi))
+    lo, hi = km_reduce_batch(f.lower[None, :], f.upper[None, :], y[None, :])
+    return TypeReducedSet(lo=float(lo[0]), hi=float(hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +450,62 @@ def gt2_aggregate(centers: Sequence[float], alphas: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end prediction
+# Forward pass: alpha-independent batch terms, then one slice at a time
 # ---------------------------------------------------------------------------
+
+def batch_terms(X: np.ndarray,
+                params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha-independent work of a batch, shared by every slice.
+
+    Checks ``X`` once and returns its primary memberships (B, P, M) and
+    consequent values (B, P).
+    """
+    X = np.asarray(X, dtype=float)
+    return pmf_batch(X, params), _consequents(X, params)
+
+
+@dataclass(frozen=True)
+class SliceForward:
+    """One slice of the forward pass, with what backpropagation consumes."""
+
+    alpha: float
+    lower: np.ndarray    # (B, P, M) membership bounds, clamped into [0, 1]
+    upper: np.ndarray
+    f_lower: np.ndarray  # (B, P) rule firings
+    f_upper: np.ndarray
+    lo: np.ndarray       # (B,) type-reduced interval
+    hi: np.ndarray
+    km: KMInternals
+
+
+def slice_forward(gamma: np.ndarray, y: np.ndarray, alpha: AlphaLevel | float,
+                  params: ModelParams) -> SliceForward:
+    """Forward pass at one slice from the terms of :func:`batch_terms`."""
+    lower, upper = smf_bounds(gamma, alpha, params)
+    f_lower, f_upper = _product_tnorm(lower), _product_tnorm(upper)
+    lo, hi, km = km_reduce_batch(f_lower, f_upper, y, return_internals=True)
+    return SliceForward(alpha=float(alpha), lower=lower, upper=upper,
+                        f_lower=f_lower, f_upper=f_upper, lo=lo, hi=hi, km=km)
+
+
+def _slice_bounds(gamma, y, alpha, params):
+    """``(lo, hi)`` of one slice; the rest of its record is freed on return."""
+    s = slice_forward(gamma, y, alpha, params)
+    return s.lo, s.hi
+
 
 def trs_batch(X: np.ndarray, alpha: AlphaLevel | float,
               params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Interval bounds [lo, hi] at one slice for a batch, each (B,)."""
-    f_lower, f_upper = firing_batch(X, alpha, params)
-    y = consequent_batch(X, params)
-    return km_reduce_batch(f_lower, f_upper, y)
+    return _slice_bounds(*batch_terms(X, params), alpha, params)
 
 
 def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
                   planes: Sequence[float] = DEFAULT_PLANES):
     """
     Batched prediction: interval at ``alpha`` plus crisp point output.
+
+    Memberships and consequents are computed once and shared by all slices.
 
     Returns
     -------
@@ -544,13 +516,14 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     plane_values = [_alpha_value(p) for p in planes]
     if not plane_values:
         raise ValueError("plane stack must contain at least one alpha level")
-    lo, hi = trs_batch(X, alpha, params)
+    gamma, y = batch_terms(X, params)
+    lo, hi = _slice_bounds(gamma, y, alpha, params)
     weighted = np.zeros(lo.shape[0])
     for p in plane_values:
         if p == alpha:
             plo, phi_ = lo, hi
         else:
-            plo, phi_ = trs_batch(X, p, params)
+            plo, phi_ = _slice_bounds(gamma, y, p, params)
         weighted += 0.5 * (plo + phi_) * p
     point = weighted / sum(plane_values)
     return lo, hi, point

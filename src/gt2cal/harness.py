@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -292,12 +292,27 @@ def load_model(path) -> ModelBundle:
             if key not in norm:
                 raise SchemaError(f"model file is missing field "
                                   f"'normalization.{key}'")
-        stats = NormalizationStats(
-            x_mean=np.asarray(norm["x_mean"], dtype=float),
-            x_std=np.asarray(norm["x_std"], dtype=float),
-            y_mean=float(norm["y_mean"]),
-            y_std=float(norm["y_std"]),
-        )
+        try:
+            stats = NormalizationStats(
+                x_mean=np.asarray(norm["x_mean"], dtype=float),
+                x_std=np.asarray(norm["x_std"], dtype=float),
+                y_mean=float(norm["y_mean"]),
+                y_std=float(norm["y_std"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"model file holds an invalid normalization "
+                              f"block: {exc}") from exc
+        M = params.n_inputs
+        if stats.x_mean.shape != (M,) or stats.x_std.shape != (M,):
+            raise SchemaError(
+                f"normalization x_mean and x_std must have shape ({M},), got "
+                f"{stats.x_mean.shape} and {stats.x_std.shape}")
+        scales = np.append(stats.x_std, stats.y_std)
+        if not (np.all(np.isfinite(scales)) and np.all(scales > 0.0)):
+            raise SchemaError("normalization x_std and y_std must be finite "
+                              "and positive")
+        if not np.all(np.isfinite(np.append(stats.x_mean, stats.y_mean))):
+            raise SchemaError("normalization x_mean and y_mean must be finite")
     return ModelBundle(params=params, stats=stats,
                        train_config=doc.get("train_config"),
                        metadata=doc.get("metadata") or {})
@@ -345,7 +360,8 @@ class ExperimentReport:
         return float(vals.mean()), std
 
 
-def _evaluate(params: ModelParams, X, y, alpha, planes) -> dict:
+def interval_metrics(params: ModelParams, X, y, alpha, planes) -> dict:
+    """RMSE of the point output and PICP/PINAW of the slice-alpha interval."""
     lo, hi, point = predict_batch(X, alpha, params, planes)
     return {"rmse": rmse(y, point), "picp": picp(y, lo, hi),
             "pinaw": pinaw(y, lo, hi)}
@@ -389,6 +405,13 @@ def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
     return report
 
 
+def _seed_config(base_cfg: TrainConfig, phi: float, seed: int) -> TrainConfig:
+    """``base_cfg`` trained for envelope coverage ``phi`` with ``seed``."""
+    target = TrainConfig.for_coverage(phi)
+    return replace(base_cfg, tau_lo=target.tau_lo, tau_hi=target.tau_hi,
+                   seed=seed)
+
+
 def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
     parts = split(X.shape[0], "70/15/15", seed)
     stats = NormalizationStats.fit(X[parts.train], y[parts.train])
@@ -396,11 +419,7 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
     Xcal, ycal = stats.apply(X[parts.calib], y[parts.calib])
     Xte, yte = stats.apply(X[parts.test], y[parts.test])
 
-    cfg = replace(TrainConfig.for_coverage(0.99), **{
-        k: getattr(base_cfg, k) for k in
-        ("epochs", "minibatch", "lr", "beta1", "beta2", "eps_adam",
-         "n_rules", "planes", "point_output")})
-    cfg = replace(cfg, seed=seed)
+    cfg = _seed_config(base_cfg, 0.99, seed)
     fitted = train(Xtr, ytr, cfg)
 
     runs = []
@@ -408,7 +427,8 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
         scfg = (replace(search_cfg, phi_d=phi_d) if search_cfg
                 else SearchConfig(phi_d=phi_d))
         cal = calibrate_search(fitted.params, Xcal, ycal, scfg)
-        metrics = _evaluate(fitted.params, Xte, yte, cal.alpha_star, cfg.planes)
+        metrics = interval_metrics(fitted.params, Xte, yte, cal.alpha_star,
+                                   cfg.planes)
         runs.append(SeedRun(seed=seed, phi_d=phi_d,
                             alpha_star=cal.alpha_star,
                             phi_achieved=cal.phi_achieved,
@@ -425,13 +445,10 @@ def _direct_seed(X, y, phi_list, seed, base_cfg):
 
     runs = []
     for phi_d in phi_list:
-        cfg = replace(TrainConfig.for_coverage(phi_d), **{
-            k: getattr(base_cfg, k) for k in
-            ("epochs", "minibatch", "lr", "beta1", "beta2", "eps_adam",
-             "n_rules", "planes", "point_output")})
-        cfg = replace(cfg, seed=seed)
+        cfg = _seed_config(base_cfg, phi_d, seed)
         fitted = train(Xtr, ytr, cfg)
-        metrics = _evaluate(fitted.params, Xte, yte, ALPHA_MIN, cfg.planes)
+        metrics = interval_metrics(fitted.params, Xte, yte, ALPHA_MIN,
+                                   cfg.planes)
         runs.append(SeedRun(seed=seed, phi_d=phi_d, **metrics))
     return runs
 
@@ -482,14 +499,5 @@ def format_report(reports: list[ExperimentReport]) -> str:
 
 def report_rows(reports: list[ExperimentReport]) -> list[dict]:
     """Flat per-seed rows (for CSV export of a report)."""
-    rows = []
-    for rep in reports:
-        for run in rep.runs:
-            rows.append({
-                "dataset": rep.dataset, "mode": rep.mode, "seed": run.seed,
-                "phi_d": run.phi_d, "rmse": run.rmse, "picp": run.picp,
-                "pinaw": run.pinaw, "alpha_star": run.alpha_star,
-                "phi_achieved": run.phi_achieved,
-                "iterations": run.iterations, "converged": run.converged,
-            })
-    return rows
+    return [{"dataset": rep.dataset, "mode": rep.mode, **asdict(run)}
+            for rep in reports for run in rep.runs]

@@ -22,9 +22,11 @@ import numpy as np
 from .core import (
     ALPHA_MIN,
     DEFAULT_PLANES,
-    KMInternals,
     ModelParams,
-    km_reduce_batch,
+    SliceForward,
+    batch_terms,
+    km_reduce_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
+    slice_forward,
     spread_scale,
 )
 from .errors import DivergenceError
@@ -213,47 +215,15 @@ def pinball_pair_loss(y, lo, hi, tau_lo, tau_hi):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _PlaneForward:
-    """Per-slice intermediates kept for the backward pass."""
-
-    alpha: float
-    k_spread: float
-    u: np.ndarray            # (B, P, M) upper memberships after clamping
-    l: np.ndarray            # (B, P, M) lower memberships after clamping
-    u_clamped: np.ndarray    # bool masks where the clamp is active
-    l_clamped: np.ndarray
-    f_upper: np.ndarray      # (B, P)
-    f_lower: np.ndarray
-    lo: np.ndarray           # (B,)
-    hi: np.ndarray
-    km: KMInternals
-
-
-@dataclass
 class ForwardResult:
     loss: float
     point: np.ndarray        # (B,) crisp predictions
     lo: np.ndarray           # (B,) bottom-slice interval bounds
     hi: np.ndarray
+    params: ModelParams      # the constrained parameters the pass ran with
     gamma: np.ndarray
     y_cons: np.ndarray
-    planes: list[_PlaneForward] = field(default_factory=list)
-
-
-def _forward_plane(gamma, y_cons, alpha, params) -> _PlaneForward:
-    k = spread_scale(alpha)
-    u_pre = gamma + k * params.sigma_r
-    l_pre = gamma - k * params.sigma_l
-    u_clamped = u_pre > 1.0
-    l_clamped = l_pre < 0.0
-    u = np.where(u_clamped, 1.0, u_pre)
-    l = np.where(l_clamped, 0.0, l_pre)
-    f_upper = np.exp(np.sum(np.log(np.maximum(u, 1e-300)), axis=-1))
-    f_lower = np.exp(np.sum(np.log(np.maximum(l, 1e-300)), axis=-1))
-    lo, hi, km = km_reduce_batch(f_lower, f_upper, y_cons, return_internals=True)
-    return _PlaneForward(alpha=float(alpha), k_spread=k, u=u, l=l,
-                         u_clamped=u_clamped, l_clamped=l_clamped,
-                         f_upper=f_upper, f_lower=f_lower, lo=lo, hi=hi, km=km)
+    planes: list[SliceForward] = field(default_factory=list)
 
 
 def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
@@ -265,15 +235,12 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     params = raw.constrain()
-
-    d = X[:, None, :] - params.c[None, :, :]
-    gamma = np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
-    y_cons = X @ params.a.T + params.a0[None, :]
+    gamma, y_cons = batch_terms(X, params)
 
     alphas = [ALPHA_MIN]
     if cfg.point_output == "plane-stack":
         alphas += [a for a in cfg.planes if a != ALPHA_MIN]
-    planes = [_forward_plane(gamma, y_cons, a, params) for a in alphas]
+    planes = [slice_forward(gamma, y_cons, a, params) for a in alphas]
 
     base = planes[0]
     if cfg.point_output == "alpha0":
@@ -288,10 +255,11 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
                          pinball_pair_loss(y, base.lo, base.hi,
                                            cfg.tau_lo, cfg.tau_hi)))
     return ForwardResult(loss=loss, point=point, lo=base.lo, hi=base.hi,
-                         gamma=gamma, y_cons=y_cons, planes=planes)
+                         params=params, gamma=gamma, y_cons=y_cons,
+                         planes=planes)
 
 
-def _backward_km(plane: _PlaneForward, d_lo, d_hi, y_cons):
+def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
     """Gradients of the reduced bounds w.r.t. firings and consequents.
 
     With the switch points held fixed, each bound is a plain weighted
@@ -344,7 +312,7 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fwd = _forward(X, y, raw, cfg)
-    params = raw.constrain()
+    params = fwd.params
     B = X.shape[0]
 
     # loss-level derivatives
@@ -378,21 +346,18 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
         d_y, d_fl, d_fu = _backward_km(plane, d_lo, d_hi, fwd.y_cons)
         d_y_cons += d_y
 
-        # through the log-domain product: df/dmu = f / mu on active factors
+        # through the log-domain product: df/dmu = f / mu on active factors;
+        # memberships clamped to 1 (upper) or 0 (lower) are flat
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_u = np.where(plane.u > 0.0,
-                               plane.f_upper[:, :, None] / plane.u, 0.0)
-            ratio_l = np.where(plane.l > 0.0,
-                               plane.f_lower[:, :, None] / plane.l, 0.0)
+            ratio_u = np.where((plane.upper > 0.0) & (plane.upper < 1.0),
+                               plane.f_upper[:, :, None] / plane.upper, 0.0)
+            ratio_l = np.where(plane.lower > 0.0,
+                               plane.f_lower[:, :, None] / plane.lower, 0.0)
         d_u = d_fu[:, :, None] * ratio_u
         d_l = d_fl[:, :, None] * ratio_l
 
-        # clamped memberships are flat
-        d_u = np.where(plane.u_clamped, 0.0, d_u)
-        d_l = np.where(plane.l_clamped, 0.0, d_l)
-
         d_gamma += d_u + d_l
-        k = plane.k_spread
+        k = spread_scale(plane.alpha)
         if k != 0.0:
             d_sigma_r += k * d_u.sum(axis=(0, 1))
             d_sigma_l -= k * d_l.sum(axis=(0, 1))
@@ -436,8 +401,8 @@ def piece_signature(X, y, raw: RawParams, cfg: TrainConfig) -> bytes:
     parts = []
     for plane in fwd.planes:
         parts.extend([plane.km.order.tobytes(), plane.km.L.tobytes(),
-                      plane.km.R.tobytes(), plane.u_clamped.tobytes(),
-                      plane.l_clamped.tobytes()])
+                      plane.km.R.tobytes(), (plane.upper >= 1.0).tobytes(),
+                      (plane.lower <= 0.0).tobytes()])
     parts.append(((y - fwd.lo) >= 0.0).tobytes())
     parts.append(((y - fwd.hi) >= 0.0).tobytes())
     return b"".join(parts)

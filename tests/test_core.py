@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gt2cal.core import (
+    DEFAULT_PLANES,
     AlphaLevel,
     FiringIntervals,
     ModelParams,
@@ -331,3 +332,23 @@ class TestPredict:
             assert slo == pytest.approx(lo[i], abs=1e-14)
             assert shi == pytest.approx(hi[i], abs=1e-14)
             assert spoint == pytest.approx(point[i], abs=1e-14)
+
+
+class TestSharedForward:
+    """predict_batch shares memberships and consequents across its slices;
+    each slice must still equal a standalone trs_batch bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.37, 0.01, 1.0])
+    @pytest.mark.parametrize("planes", [DEFAULT_PLANES, (0.2, 0.5, 0.9)])
+    def test_predict_batch_equals_per_plane_trs_batch(self, rng, alpha, planes):
+        m = random_model(rng, n_rules=5, n_inputs=3)
+        X = rng.normal(size=(300, 3))
+        lo, hi, point = predict_batch(X, alpha, m, planes)
+        ref_lo, ref_hi = trs_batch(X, alpha, m)
+        weighted = np.zeros(len(X))
+        for p in planes:
+            plo, phi_ = trs_batch(X, p, m)
+            weighted += 0.5 * (plo + phi_) * p
+        np.testing.assert_array_equal(lo, ref_lo)
+        np.testing.assert_array_equal(hi, ref_hi)
+        np.testing.assert_array_equal(point, weighted / sum(planes))

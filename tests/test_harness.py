@@ -201,6 +201,56 @@ class TestPersistence:
             load_model(path)
 
 
+class TestNormalizationBlockChecks:
+    """A model file whose normalization block cannot run must not load."""
+
+    @staticmethod
+    def _write(tmp_path, rng, **norm):
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        stats = NormalizationStats(x_mean=np.zeros(2), x_std=np.ones(2),
+                                   y_mean=0.0, y_std=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, m, stats=stats)
+        doc = json.loads(path.read_text())
+        doc["normalization"].update(norm)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("key", ["x_mean", "x_std"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_vector_length_must_match_inputs(self, tmp_path, rng, key, length):
+        path = self._write(tmp_path, rng, **{key: [1.0] * length})
+        with pytest.raises(SchemaError, match=r"shape \(2,\)"):
+            load_model(path)
+
+    @pytest.mark.parametrize("norm", [
+        {"x_std": [0.0, 1.0]},
+        {"x_std": [1.0, -2.0]},
+        {"x_std": [1.0, float("inf")]},
+        {"y_std": 0.0},
+        {"y_std": float("nan")},
+    ])
+    def test_deviations_must_be_finite_and_positive(self, tmp_path, rng, norm):
+        path = self._write(tmp_path, rng, **norm)
+        with pytest.raises(SchemaError, match="finite and positive"):
+            load_model(path)
+
+    def test_means_must_be_finite(self, tmp_path, rng):
+        path = self._write(tmp_path, rng, x_mean=[0.0, float("nan")])
+        with pytest.raises(SchemaError, match="finite"):
+            load_model(path)
+
+    def test_non_numeric_value_is_a_schema_error(self, tmp_path, rng):
+        path = self._write(tmp_path, rng, y_mean="centre")
+        with pytest.raises(SchemaError, match="normalization"):
+            load_model(path)
+
+    def test_valid_block_loads(self, tmp_path, rng):
+        path = self._write(tmp_path, rng, x_mean=[1.5, -2.0], x_std=[0.5, 3.0])
+        stats = load_model(path).stats
+        np.testing.assert_array_equal(stats.x_std, [0.5, 3.0])
+
+
 @pytest.fixture(scope="module")
 def small_pipeline_reports():
     X, y = synthetic_heteroscedastic(400, seed=0)
