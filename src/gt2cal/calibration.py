@@ -199,6 +199,10 @@ def read_calibration_curve(path) -> CalibrationTable:
 # Derivative-free search inverter
 # ---------------------------------------------------------------------------
 
+#: The search gives up once its step shrinks below this.
+_DELTA_FLOOR = 1e-4
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the shrinking-step coverage search."""
@@ -209,7 +213,6 @@ class SearchConfig:
     gamma: float = 0.5
     epsilon: float | None = None  # default max(0.005, 1/Q), resolved per dataset
     max_iters: int = 100
-    delta_floor: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.phi_d < 0.99:
@@ -282,7 +285,7 @@ def search_alpha(coverage_fn, cfg: SearchConfig) -> CalibrationResult:
             alpha, phi, err = alpha_dn, phi_dn, err_dn
         else:
             delta *= cfg.gamma
-            if delta < cfg.delta_floor:
+            if delta < _DELTA_FLOOR:
                 break
             continue
 

@@ -301,13 +301,16 @@ def consequent_values(x: np.ndarray, params: ModelParams) -> np.ndarray:
 class KMInternals:
     """Switch-point bookkeeping needed to backpropagate through reduction.
 
-    All index arrays refer to rules sorted by ascending consequent value;
-    ``order`` maps sorted position -> original rule index.
+    ``order`` maps sorted position -> original rule index, with rules sorted
+    by ascending consequent value.  Each interval end has a switch count and
+    the weight total at that switch: ``lo`` puts upper firing on the ``L``
+    smallest consequents and lower firing on the rest; ``hi`` puts lower
+    firing on the ``R`` smallest and upper firing on the rest.
     """
 
     order: np.ndarray    # (B, P) argsort of consequents
-    L: np.ndarray        # (B,) leading upper-weighted count for the lower bound
-    R: np.ndarray        # (B,) leading lower-weighted count for the upper bound
+    L: np.ndarray        # (B,) switch count of the lower bound
+    R: np.ndarray        # (B,) switch count of the upper bound
     den_lo: np.ndarray   # (B,) weight totals at the accepted switches
     den_hi: np.ndarray
 
@@ -332,35 +335,25 @@ def _suffix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _km_candidates(ys, fls, fus):
-    """Weighted-average value of every switch candidate k in 0..P.
+def _km_end(first, rest, ys, minimize):
+    """One end of the reduced interval, from rules sorted by consequent.
 
-    For the lower bound, candidate k puts upper firing on the k smallest
-    consequents and lower firing elsewhere; the roles swap for the upper
-    bound.  Returns (num_lo, den_lo, num_hi, den_hi), each (B, P+1).
+    Switch candidate k in 0..P weights the k smallest consequents ``ys`` by
+    ``first`` and the others by ``rest``.  The extremum of the weighted
+    average is attained at one of these candidates, so scanning all of them
+    is exact, also when firings are exactly zero or consequents tie;
+    zero-weight candidates are skipped.  Returns the bound, the switch
+    count and the weight total at that switch, each (B,).
     """
-    num_lo = _prefix(fus * ys) + _suffix(fls * ys)
-    den_lo = _prefix(fus) + _suffix(fls)
-    num_hi = _prefix(fls * ys) + _suffix(fus * ys)
-    den_hi = _prefix(fls) + _suffix(fus)
-    return num_lo, den_lo, num_hi, den_hi
-
-
-def _km_enumerate(num, den, minimize):
-    """Best valid switch candidate per row (zero-weight candidates skipped).
-
-    The extremum of the interval weighted average is always attained at one
-    of the P+1 switch candidates, so scanning them is exact.  Unlike the
-    iterative bracketing search, this stays correct when some firings are
-    exactly zero or consequents tie.
-    """
+    num = _prefix(first * ys) + _suffix(rest * ys)
+    den = _prefix(first) + _suffix(rest)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / den
     fill = np.inf if minimize else -np.inf
     vals = np.where(den > 0.0, vals, fill)
     k = vals.argmin(axis=1) if minimize else vals.argmax(axis=1)
     rows = np.arange(vals.shape[0])
-    return vals[rows, k], k
+    return vals[rows, k], k, den[rows, k]
 
 
 def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
@@ -393,9 +386,8 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     fls = np.take_along_axis(fl, order, axis=1)
     fus = np.take_along_axis(fu, order, axis=1)
 
-    num_lo, den_lo, num_hi, den_hi = _km_candidates(ys, fls, fus)
-    lo, L = _km_enumerate(num_lo, den_lo, minimize=True)
-    hi, R = _km_enumerate(num_hi, den_hi, minimize=False)
+    lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
+    hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
 
     # Degenerate intervals can invert by an ulp through independent rounding
     # of the two bounds; pinch them back together.
@@ -406,10 +398,8 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
         hi[inverted] = mid
 
     if return_internals:
-        rows = np.arange(y.shape[0])
-        internals = KMInternals(order=order, L=L, R=R,
-                                den_lo=den_lo[rows, L], den_hi=den_hi[rows, R])
-        return lo, hi, internals
+        return lo, hi, KMInternals(order=order, L=L, R=R,
+                                   den_lo=den_lo, den_hi=den_hi)
     return lo, hi
 
 

@@ -15,7 +15,7 @@ mapped through softplus, so a plain Adam loop needs no projection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class TrainConfig:
     epochs: int = 300
     minibatch: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     n_rules: int = 10
     planes: tuple[float, ...] = DEFAULT_PLANES
     seed: int = 0
@@ -67,6 +64,8 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.point_output not in ("alpha0", "plane-stack"):
             raise ValueError(f"unknown point_output {self.point_output!r}")
+        if not self.planes:
+            raise ValueError("plane stack must contain at least one alpha level")
 
     @classmethod
     def for_coverage(cls, phi: float, **overrides) -> "TrainConfig":
@@ -132,17 +131,6 @@ class RawParams:
             sigma_r=softplus(self.rho_sigma_r) + _SOFTPLUS_FLOOR,
             a=self.a.copy(),
             a0=self.a0.copy(),
-        )
-
-    @classmethod
-    def from_model(cls, params: ModelParams) -> "RawParams":
-        return cls(
-            c=params.c.copy(),
-            rho_sigma=inv_softplus(params.sigma),
-            rho_sigma_l=inv_softplus(params.sigma_l),
-            rho_sigma_r=inv_softplus(params.sigma_r),
-            a=params.a.copy(),
-            a0=params.a0.copy(),
         )
 
     def to_vector(self) -> np.ndarray:
@@ -223,7 +211,8 @@ class ForwardResult:
     params: ModelParams      # the constrained parameters the pass ran with
     gamma: np.ndarray
     y_cons: np.ndarray
-    planes: list[SliceForward] = field(default_factory=list)
+    planes: list[SliceForward]  # bottom slice first
+    weights: np.ndarray         # each slice's weight in the point
 
 
 def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
@@ -237,18 +226,18 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
     params = raw.constrain()
     gamma, y_cons = batch_terms(X, params)
 
-    alphas = [ALPHA_MIN]
+    # the bottom slice always runs (the pinball loss reads it); in the
+    # point it weighs its alpha only if the plane stack serves it
+    alphas, weights = [ALPHA_MIN], [1.0]
     if cfg.point_output == "plane-stack":
         alphas += [a for a in cfg.planes if a != ALPHA_MIN]
+        weights = [a if a in cfg.planes else 0.0 for a in alphas]
+    weights = np.array(weights)
     planes = [slice_forward(gamma, y_cons, a, params) for a in alphas]
 
     base = planes[0]
-    if cfg.point_output == "alpha0":
-        point = 0.5 * (base.lo + base.hi)
-    else:
-        weights = np.array([p.alpha for p in planes])
-        centers = np.stack([0.5 * (p.lo + p.hi) for p in planes])
-        point = weights @ centers / weights.sum()
+    centers = np.stack([0.5 * (p.lo + p.hi) for p in planes])
+    point = weights @ centers / weights.sum()
 
     eps = y - point
     loss = float(np.mean(log_cosh_loss(eps) +
@@ -256,54 +245,33 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
                                            cfg.tau_lo, cfg.tau_hi)))
     return ForwardResult(loss=loss, point=point, lo=base.lo, hi=base.hi,
                          params=params, gamma=gamma, y_cons=y_cons,
-                         planes=planes)
+                         planes=planes, weights=weights)
 
 
 def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
     """Gradients of the reduced bounds w.r.t. firings and consequents.
 
     With the switch points held fixed, each bound is a plain weighted
-    average, so d(bound)/dy_p = w_p / W and d(bound)/dw_p = (y_p - bound)/W
-    in sorted coordinates; the per-rule weight is the upper or lower firing
-    according to which side of the switch the rule sits on.
+    average, so d(bound)/dy_p = w_p / W and d(bound)/dw_p = (y_p - bound)/W.
+    Everything stays in rule order: a rule's rank among the sorted
+    consequents says which side of each switch it sits on, and so whether
+    its weight in that bound is its upper or its lower firing.
     """
     km = plane.km
-    B, P = y_cons.shape
-    pos = np.arange(P)[None, :]
+    P = y_cons.shape[1]
+    rank = np.empty_like(km.order)
+    np.put_along_axis(rank, km.order, np.arange(P)[None, :], axis=1)
+    upper_lo = rank < km.L[:, None]  # lo: upper firing on the L smallest
+    lower_hi = rank < km.R[:, None]  # hi: lower firing on the R smallest
+    fl, fu = plane.f_lower, plane.f_upper
 
-    ys = np.take_along_axis(y_cons, km.order, axis=1)
-    fls = np.take_along_axis(plane.f_lower, km.order, axis=1)
-    fus = np.take_along_axis(plane.f_upper, km.order, axis=1)
-
-    d_ys = np.zeros((B, P))
-    d_fls = np.zeros((B, P))
-    d_fus = np.zeros((B, P))
-
-    # lower bound: upper firing on the L smallest consequents
-    upper_side = pos < km.L[:, None]
-    w = np.where(upper_side, fus, fls)
-    coeff = (d_lo / km.den_lo)[:, None]
-    d_ys += coeff * w
-    spread = coeff * (ys - plane.lo[:, None])
-    d_fus += np.where(upper_side, spread, 0.0)
-    d_fls += np.where(upper_side, 0.0, spread)
-
-    # upper bound: lower firing on the R smallest consequents
-    lower_side = pos < km.R[:, None]
-    w = np.where(lower_side, fls, fus)
-    coeff = (d_hi / km.den_hi)[:, None]
-    d_ys += coeff * w
-    spread = coeff * (ys - plane.hi[:, None])
-    d_fls += np.where(lower_side, spread, 0.0)
-    d_fus += np.where(lower_side, 0.0, spread)
-
-    # scatter back to original rule order
-    d_y = np.zeros((B, P))
-    d_fl = np.zeros((B, P))
-    d_fu = np.zeros((B, P))
-    np.put_along_axis(d_y, km.order, d_ys, axis=1)
-    np.put_along_axis(d_fl, km.order, d_fls, axis=1)
-    np.put_along_axis(d_fu, km.order, d_fus, axis=1)
+    c_lo = (d_lo / km.den_lo)[:, None]
+    c_hi = (d_hi / km.den_hi)[:, None]
+    d_y = c_lo * np.where(upper_lo, fu, fl) + c_hi * np.where(lower_hi, fl, fu)
+    s_lo = c_lo * (y_cons - plane.lo[:, None])
+    s_hi = c_hi * (y_cons - plane.hi[:, None])
+    d_fu = np.where(upper_lo, s_lo, 0.0) + np.where(lower_hi, 0.0, s_hi)
+    d_fl = np.where(upper_lo, 0.0, s_lo) + np.where(lower_hi, s_hi, 0.0)
     return d_y, d_fl, d_fu
 
 
@@ -324,12 +292,8 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     d_hi_pin = np.where(r_hi >= 0.0, -cfg.tau_hi, 1.0 - cfg.tau_hi) / B
 
     # distribute the point-output gradient over plane centers
-    if cfg.point_output == "alpha0":
-        plane_center_grads = [d_point]
-    else:
-        weights = np.array([p.alpha for p in fwd.planes])
-        total = weights.sum()
-        plane_center_grads = [d_point * (w / total) for w in weights]
+    total = fwd.weights.sum()
+    plane_center_grads = [d_point * (w / total) for w in fwd.weights]
 
     d_gamma = np.zeros_like(fwd.gamma)
     d_y_cons = np.zeros_like(fwd.y_cons)
@@ -487,9 +451,7 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
-            theta, state = adam_step(theta, grad.to_vector(), state,
-                                     lr=cfg.lr, beta1=cfg.beta1,
-                                     beta2=cfg.beta2, eps=cfg.eps_adam)
+            theta, state = adam_step(theta, grad.to_vector(), state, lr=cfg.lr)
 
         raw = RawParams.from_vector(theta, P, M)
         fwd = _forward(X, y, raw, cfg)

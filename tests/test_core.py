@@ -227,6 +227,24 @@ class TestKarnikMendel:
         assert trs.lo == pytest.approx(lo_ref, abs=1e-9)
         assert trs.hi == pytest.approx(hi_ref, abs=1e-9)
 
+    def test_internals_reproduce_both_bounds(self, rng):
+        # ties, exact-zero lower firings and a few silent rules
+        B, P = 300, 6
+        y = 10.0 + np.round(2.0 * rng.normal(size=(B, P)))
+        fu = rng.random((B, P))
+        fu[rng.random((B, P)) < 0.1] = 0.0
+        fu[:, 0] = np.maximum(fu[:, 0], 0.5)  # keep total firing alive
+        fl = fu * rng.random((B, P))
+        fl[rng.random((B, P)) < 0.3] = 0.0
+        lo, hi, km = km_reduce_batch(fl, fu, y, return_internals=True)
+        rank = np.argsort(km.order, axis=1)
+        w_lo = np.where(rank < km.L[:, None], fu, fl)
+        w_hi = np.where(rank < km.R[:, None], fl, fu)
+        for w, den, bound in ((w_lo, km.den_lo, lo), (w_hi, km.den_hi, hi)):
+            np.testing.assert_allclose(den, w.sum(axis=1), rtol=1e-12)
+            np.testing.assert_allclose(bound, (w * y).sum(axis=1) / den,
+                                       rtol=1e-12)
+
     def test_batch_ordering_is_preserved(self, rng):
         fl = rng.random((8, 5)) * 0.5
         fu = fl + rng.random((8, 5)) * 0.5

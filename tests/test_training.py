@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from gt2cal.core import ModelParams
+from gt2cal.core import DEFAULT_PLANES, ModelParams, predict_batch
 from gt2cal.errors import DivergenceError
 from gt2cal.training import (
     AdamState,
     RawParams,
     TrainConfig,
+    _forward,
     adam_step,
     init_raw,
     inv_softplus,
@@ -386,3 +387,24 @@ class TestTraining:
         # every center row is a training input row
         for row in raw.c:
             assert any(np.allclose(row, xr) for xr in X)
+
+
+class TestPointOutput:
+    @pytest.mark.parametrize("planes", [(0.5, 1.0), DEFAULT_PLANES])
+    def test_trained_point_is_served_point(self, planes):
+        # the point the loss fits is the one predict_batch reports, also
+        # when the plane stack leaves out the bottom slice
+        X, y = heteroscedastic_line(200, seed=8)
+        Xz = (X - X.mean(0)) / X.std(0)
+        yz = (y - y.mean()) / y.std()
+        cfg = TrainConfig(n_rules=3, epochs=2, seed=5, planes=planes,
+                          point_output="plane-stack")
+        result = train(Xz, yz, cfg)
+        trained = _forward(Xz, yz, result.raw, cfg).point
+        served = predict_batch(Xz, 0.5, result.params, planes)[2]
+        np.testing.assert_allclose(trained, served, rtol=0.0, atol=1e-12)
+
+    def test_empty_plane_stack_rejected(self):
+        # an empty stack would leave the point with no weight at all
+        with pytest.raises(ValueError, match="plane stack"):
+            TrainConfig(planes=(), point_output="plane-stack")
