@@ -2,9 +2,9 @@
 """Print a SHA-256 digest of every numeric output of this checkout.
 
 One ``name sha256`` line per output: trained parameters, loss and gradient,
-piece signatures, batched and single-row prediction, search calibration
-and the lookup table, all on seeded synthetic data (4 inputs, 10 rules)
-made here with numpy alone.  Run it on two commits and diff the outputs:
+piece signatures, batched and single-row prediction, search calibration,
+the lookup table, and one-slice bounds and coverage, all on seeded
+synthetic data (4 inputs, 10 rules) made here with numpy alone.  Run it on two commits and diff the outputs:
 equal lines mean bit-identical results.
 
 Usage: python scripts/output_digest.py
@@ -23,8 +23,9 @@ from gt2cal.calibration import (  # noqa: E402
     SearchConfig,
     build_lookup_table,
     calibrate_search,
+    coverage_at_alpha,
 )
-from gt2cal.core import predict, predict_batch  # noqa: E402
+from gt2cal.core import predict, predict_batch, trs_batch  # noqa: E402
 from gt2cal.training import (  # noqa: E402
     TrainConfig,
     loss_and_grad,
@@ -95,6 +96,11 @@ def main():
 
     table = build_lookup_table(params, Xc, yc, 0.01)
     emit("lookup_table.0.01", table.alphas, table.phis)
+
+    for alpha in (0.01, 0.37, 1.0):
+        emit(f"trs_batch.alpha{alpha}", *trs_batch(Xc, alpha, params))
+        emit(f"coverage_at_alpha.alpha{alpha}",
+             [coverage_at_alpha(params, Xc, yc, alpha)])
 
 
 if __name__ == "__main__":

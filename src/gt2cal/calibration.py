@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ALPHA_MIN, ModelParams, trs_batch
+from .core import (
+    ALPHA_MIN,
+    ModelParams,
+    batch_terms,
+    slice_forward,
+    trs_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
+)
 from .errors import FlatCurveError
 
 
@@ -58,10 +64,26 @@ def pinaw(y, lo, hi) -> float:
     return float(np.mean(hi - lo) / span)
 
 
+def _coverage_oracle(params: ModelParams, X, y):
+    """Coverage on one dataset as a function of alpha.
+
+    Memberships and consequents do not depend on alpha, so they are
+    computed once here; each call of the returned function runs one slice
+    on them.  Every slice picker probes through one oracle per dataset.
+    """
+    y = np.asarray(y, dtype=float)
+    gamma, cons = batch_terms(X, params)
+
+    def coverage(alpha) -> float:
+        s = slice_forward(gamma, cons, alpha, params)
+        return picp(y, s.lo, s.hi)
+
+    return coverage
+
+
 def coverage_at_alpha(params: ModelParams, X, y, alpha) -> float:
     """Empirical coverage of the slice-alpha interval on a dataset."""
-    lo, hi = trs_batch(np.asarray(X, dtype=float), alpha, params)
-    return picp(np.asarray(y, dtype=float), lo, hi)
+    return _coverage_oracle(params, X, y)(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +126,10 @@ class CalibrationTable:
             raise ValueError("need at least two (alpha, phi) pairs")
         if np.any(np.diff(a) <= 0.0):
             raise ValueError("alpha grid must be strictly increasing")
-        if np.any(a < ALPHA_MIN) or np.any(a > 1.0):
+        if not np.all((a >= ALPHA_MIN) & (a <= 1.0)):
             raise ValueError(f"alpha grid must lie in [{ALPHA_MIN}, 1]")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError("coverage values must be finite and lie in [0, 1]")
         if np.any(np.diff(p) > 0.0):
             p = _isotonic_decreasing(p)
         object.__setattr__(self, "alphas", a)
@@ -136,7 +160,8 @@ def alpha_grid(delta: float) -> np.ndarray:
 def build_lookup_table(params: ModelParams, X, y, delta: float) -> CalibrationTable:
     """Sample the coverage curve on the quantized grid."""
     grid = alpha_grid(delta)
-    phis = np.array([coverage_at_alpha(params, X, y, a) for a in grid])
+    coverage = _coverage_oracle(params, X, y)
+    phis = np.array([coverage(a) for a in grid])
     return CalibrationTable(alphas=grid, phis=phis)
 
 
@@ -149,6 +174,8 @@ def lookup_alpha(table: CalibrationTable, phi_d: float) -> LookupResult:
     collapsed to their largest alpha, the narrowest interval achieving that
     coverage; a fully flat table cannot be inverted.
     """
+    if not np.isfinite(phi_d):
+        raise ValueError(f"coverage target must be finite, got {phi_d!r}")
     phis = table.phis
     alphas = table.alphas
     if phis.max() - phis.min() <= 0.0:
@@ -186,12 +213,18 @@ def read_calibration_curve(path) -> CalibrationTable:
     phis = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["alpha", "phi"]:
-            raise ValueError(f"unexpected curve header {header!r}")
+        header = next(reader, None)
+        if header is None or header[:2] != ["alpha", "phi"]:
+            raise ValueError(f"{path}: expected the header alpha,phi, "
+                             f"got {header!r}")
         for row in reader:
-            alphas.append(float(row[0]))
-            phis.append(float(row[1]))
+            try:
+                alpha, phi = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"alpha,phi, got {row!r}") from None
+            alphas.append(alpha)
+            phis.append(phi)
     return CalibrationTable(alphas=np.array(alphas), phis=np.array(phis))
 
 
@@ -305,11 +338,9 @@ def calibrate_search(params: ModelParams, X, y,
     An unset tolerance defaults to max(0.005, 1/Q): empirical coverage on Q
     points moves in steps of 1/Q, so a finer tolerance is unreachable.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if cfg.epsilon is None:
-        q = y.size
+        q = np.size(y)
         if q == 0:
             raise ValueError("calibration set is empty")
         cfg = replace(cfg, epsilon=max(0.005, 1.0 / q))
-    return search_alpha(lambda a: coverage_at_alpha(params, X, y, a), cfg)
+    return search_alpha(_coverage_oracle(params, X, y), cfg)

@@ -66,3 +66,12 @@ def central_difference(fn, x, h=1e-5):
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return g
+
+
+def product_tnorm_log(mu):
+    """Product over the last axis by one numpy log-sum over that axis.
+
+    The t-norm formula as first written: floor each factor at 1e-300 so the
+    log stays finite, sum the logs with ``np.sum`` and exponentiate.
+    """
+    return np.exp(np.sum(np.log(np.maximum(mu, 1e-300)), axis=-1))

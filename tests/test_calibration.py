@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gt2cal.core
 from gt2cal.calibration import (
     CalibrationTable,
     SearchConfig,
@@ -16,6 +20,7 @@ from gt2cal.calibration import (
     search_alpha,
     _isotonic_decreasing,
 )
+from gt2cal.core import trs_batch
 from gt2cal.errors import FlatCurveError
 
 from conftest import random_model
@@ -171,12 +176,28 @@ class TestLookupTable:
         assert lookup_alpha(table, 0.7).alpha_star == pytest.approx(0.6)
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            CalibrationTable(alphas=np.array([0.5, 0.5]), phis=np.array([1, 0]))
-        with pytest.raises(ValueError):
-            CalibrationTable(alphas=np.array([0.001, 0.5]), phis=np.array([1, 0]))
-        with pytest.raises(ValueError):
-            CalibrationTable(alphas=np.array([0.5]), phis=np.array([1.0]))
+        cases = [
+            ([0.5, 0.5], [1, 0]),
+            ([0.001, 0.5], [1, 0]),
+            ([0.5], [1.0]),
+            ([0.01, np.nan], [0.9, 0.4]),
+            # NaN compares false, so it would also skip the isotonic repair
+            ([0.01, 0.5], [np.nan, 0.4]),
+            ([0.01, 0.5], [0.9, np.nan]),
+            ([0.01, 0.5], [np.inf, 0.4]),
+            ([0.01, 0.5], [1.2, 0.4]),
+            ([0.01, 0.5], [0.9, -0.1]),
+        ]
+        for alphas, phis in cases:
+            with pytest.raises(ValueError):
+                CalibrationTable(alphas=np.array(alphas), phis=np.array(phis))
+
+    def test_rejects_non_finite_target(self):
+        table = CalibrationTable(alphas=np.array([0.01, 1.0]),
+                                 phis=np.array([0.9, 0.4]))
+        for phi_d in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                lookup_alpha(table, phi_d)
 
 
 class TestCurveExport:
@@ -204,6 +225,14 @@ class TestCurveExport:
         phis = [float(l.split(",")[1]) for l in
                 path.read_text().strip().splitlines()[1:]]
         assert np.all(np.diff(phis) <= 0)
+
+    @pytest.mark.parametrize("text", ["", "alpha,phi\n0.01,0.9\n0.5\n",
+                                      "alpha,phi\n0.01,abc\n"])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_calibration_curve(path)
 
 
 class TestSearch:
@@ -301,3 +330,48 @@ class TestSearchOnModel:
         cov_search = coverage_at_alpha(m, X, y, res_search.alpha_star)
         cov_lookup = coverage_at_alpha(m, X, y, res_lookup.alpha_star)
         assert abs(cov_search - cov_lookup) <= 2.0 / 400
+
+
+class TestCoverageOracle:
+    """Both pickers probe one oracle per calibration set."""
+
+    @pytest.fixture
+    def calib(self, rng):
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        X = rng.normal(size=(250, 3))
+        y = 0.5 * rng.normal(size=250)
+        return m, X, y
+
+    def test_lookup_table_equals_per_probe_coverage(self, calib):
+        m, X, y = calib
+        grid = alpha_grid(0.05)
+        per_probe = [coverage_at_alpha(m, X, y, a) for a in grid]
+        for a, phi in zip(grid, per_probe):
+            assert phi == picp(y, *trs_batch(X, a, m))
+        want = CalibrationTable(alphas=grid, phis=np.array(per_probe))
+        np.testing.assert_array_equal(build_lookup_table(m, X, y, 0.05).phis,
+                                      want.phis)
+
+    @pytest.mark.parametrize("phi_d", [0.3, 0.6, 0.9])
+    def test_search_equals_per_probe_search(self, calib, phi_d):
+        m, X, y = calib
+        cfg = SearchConfig(phi_d=phi_d)
+        eps = replace(cfg, epsilon=max(0.005, 1.0 / y.size))
+        want = search_alpha(lambda a: coverage_at_alpha(m, X, y, a), eps)
+        assert calibrate_search(m, X, y, cfg) == want
+
+    def test_memberships_computed_once_per_picker(self, calib, monkeypatch):
+        m, X, y = calib
+        calls = []
+        original = gt2cal.core.pmf_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gt2cal.core, "pmf_batch", counting)
+        res = calibrate_search(m, X, y, SearchConfig(phi_d=0.6))
+        assert res.iterations > 0 and len(calls) == 1
+        calls.clear()
+        build_lookup_table(m, X, y, 0.01)
+        assert len(calls) == 1

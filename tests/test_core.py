@@ -20,11 +20,12 @@ from gt2cal.core import (
     smf_bounds,
     spread_scale,
     trs_batch,
+    _product_tnorm,
 )
 from gt2cal.errors import DegenerateFiringError
 
 from conftest import random_model
-from oracles import km_enumeration, km_vertex_bruteforce
+from oracles import km_enumeration, km_vertex_bruteforce, product_tnorm_log
 
 
 def single_rule_model(c, sigma, sigma_l, sigma_r, a, a0):
@@ -152,6 +153,36 @@ class TestFiring:
         m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
         with pytest.raises(DegenerateFiringError):
             firing_intervals(np.array([100.0]), 1.0, m)
+
+
+class TestProductTnorm:
+    """The in-place left-to-right log-sum against the one-reduction formula."""
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 7])
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_bit_identical_below_eight_factors(self, rng, M, B):
+        # numpy sums an axis shorter than 8 left to right, as the kernel does
+        mu = rng.random((B, 6, M))
+        mu[rng.random(mu.shape) < 0.1] = 0.0
+        mu[0, 0, 0] = 0.0
+        before = mu.copy()
+        np.testing.assert_array_equal(_product_tnorm(mu), product_tnorm_log(mu))
+        np.testing.assert_array_equal(mu, before)
+
+    @pytest.mark.parametrize("M", [8, 19, 40])
+    def test_log_sum_within_summation_bound(self, rng, M):
+        # numpy sums 8 or more terms with pairwise accumulators, so only the
+        # rounding of the log-sum may differ: two orders of an M-term sum
+        # differ by at most 2*M*eps*sum|log mu|.  Factors stay in
+        # [0.05, 1] so neither product leaves the normal range, and
+        # sum|log mu| is large enough to cover the exp/log rounding.
+        mu = 0.05 + 0.95 * rng.random((64, 6, M))
+        before = mu.copy()
+        got = _product_tnorm(mu)
+        want = product_tnorm_log(mu)
+        bound = 2 * M * np.finfo(float).eps * np.sum(np.abs(np.log(mu)), axis=-1)
+        assert np.all(np.abs(np.log(got) - np.log(want)) <= bound)
+        np.testing.assert_array_equal(mu, before)
 
 
 class TestConsequents:
