@@ -87,6 +87,9 @@ def main():
         emit(f"predict_batch.alpha{alpha}", *predict_batch(Xc, alpha, params))
     emit("predict_batch.planes-0.5-1.0",
          *predict_batch(Xc, 0.5, params, (0.5, 1.0)))
+    # the stacked train and calibration rows span more than one row block
+    emit("predict_batch.all-rows",
+         *predict_batch(np.vstack([X, Xc]), 0.37, params))
     emit("predict.row0", predict(Xc[0], 0.37, params))
 
     for phi_d in (0.80, 0.85, 0.90, 0.95):

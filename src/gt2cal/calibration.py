@@ -67,15 +67,16 @@ def pinaw(y, lo, hi) -> float:
 def _coverage_oracle(params: ModelParams, X, y):
     """Coverage on one dataset as a function of alpha.
 
-    Memberships and consequents do not depend on alpha, so they are
-    computed once here; each call of the returned function runs one slice
-    on them.  Every slice picker probes through one oracle per dataset.
+    Memberships, consequents and the consequent sort do not depend on
+    alpha, so they are computed once here; each call of the returned
+    function runs one slice on them.  Every slice picker probes through one
+    oracle per dataset.
     """
     y = np.asarray(y, dtype=float)
-    gamma, cons = batch_terms(X, params)
+    terms = batch_terms(X, params)
 
     def coverage(alpha) -> float:
-        s = slice_forward(gamma, cons, alpha, params)
+        s = slice_forward(terms, alpha, params)
         return picp(y, s.lo, s.hi)
 
     return coverage

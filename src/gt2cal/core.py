@@ -15,7 +15,7 @@ so inference may run concurrently across inputs and alpha levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,11 @@ FIRING_EPS = 1e-15
 
 #: Per-factor floor inside the log-domain product, guarding log(0).
 _LOG_FLOOR = 1e-300
+
+#: Most rows :func:`predict_batch` runs through its slices at once, so that
+#: each (rows, P, M) slice temporary stays within L2 cache for typical rule
+#: bases.
+_ROW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +110,9 @@ class ModelParams:
         for name in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
+        if self.c.ndim != 2 or 0 in self.c.shape:
+            raise ValueError(f"c must be a (P, M) matrix with at least one rule "
+                             f"and one input, got shape {self.c.shape}")
         P, M = self.c.shape
         if self.sigma.shape != (P, M) or self.a.shape != (P, M):
             raise ValueError("sigma and a must have the same shape as c")
@@ -183,13 +191,19 @@ def pmf_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
     -------
     (B, P, M) array of Gaussian memberships in (0, 1].
     """
+    X = _checked_inputs(X, params)
+    d = X[:, None, :] - params.c[None, :, :]
+    return np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
+
+
+def _checked_inputs(X, params: ModelParams) -> np.ndarray:
+    """``X`` as a float (B, M) array with finite values, or ValueError."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
         raise ValueError(f"expected shape (B, {params.n_inputs}), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
-    d = X[:, None, :] - params.c[None, :, :]
-    return np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
+    return X
 
 
 def pmf_eval(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -218,8 +232,10 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float,
     """
     k = spread_scale(alpha)
     gamma = np.asarray(gamma, dtype=float)
-    upper = np.minimum(gamma + k * params.sigma_r, 1.0)
-    lower = np.maximum(gamma - k * params.sigma_l, 0.0)
+    upper = gamma + k * params.sigma_r
+    np.minimum(upper, 1.0, out=upper)
+    lower = gamma - k * params.sigma_l
+    np.maximum(lower, 0.0, out=lower)
     return lower, upper
 
 
@@ -263,13 +279,17 @@ def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
     return _product_tnorm(lower), f_upper
 
 
-def _check_firing(f_upper: np.ndarray) -> None:
-    """Raise unless some rule fires in every row of a (B, P) firing array."""
+def _check_firing(f_upper: np.ndarray, first_row: int = 0) -> None:
+    """Raise unless some rule fires in every row of a (B, P) firing array.
+
+    ``first_row`` is the index of the array's first row in the caller's
+    batch, so that the error names the row the caller passed.
+    """
     total = f_upper.sum(axis=1)
     if np.any(total < FIRING_EPS):
         idx = int(np.argmax(total < FIRING_EPS))
         raise DegenerateFiringError(
-            f"input row {idx} lies outside the support of every rule "
+            f"input row {first_row + idx} lies outside the support of every rule "
             f"(total upper firing {total[idx]:.3e} < {FIRING_EPS:.0e})")
 
 
@@ -366,6 +386,26 @@ def _km_end(first, rest, ys, minimize):
     return vals[rows, k], k, den[rows, k]
 
 
+def _km_sorted(fls, fus, ys, order):
+    """Both ends of the reduced interval, from rules sorted by consequent.
+
+    ``fls``, ``fus`` and ``ys`` are (B, P) and already in the order
+    ``order``; returns ``(lo, hi, KMInternals)``.
+    """
+    lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
+    hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
+
+    # Degenerate intervals can invert by an ulp through independent rounding
+    # of the two bounds; pinch them back together.
+    inverted = lo > hi
+    if np.any(inverted):
+        mid = 0.5 * (lo[inverted] + hi[inverted])
+        lo[inverted] = mid
+        hi[inverted] = mid
+    return lo, hi, KMInternals(order=order, L=L, R=R,
+                               den_lo=den_lo, den_hi=den_hi)
+
+
 def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
                     return_internals: bool = False):
     """
@@ -392,25 +432,10 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     _check_firing(fu)
 
     order = np.argsort(y, axis=1, kind="stable")
-    ys = np.take_along_axis(y, order, axis=1)
-    fls = np.take_along_axis(fl, order, axis=1)
-    fus = np.take_along_axis(fu, order, axis=1)
-
-    lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
-    hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
-
-    # Degenerate intervals can invert by an ulp through independent rounding
-    # of the two bounds; pinch them back together.
-    inverted = lo > hi
-    if np.any(inverted):
-        mid = 0.5 * (lo[inverted] + hi[inverted])
-        lo[inverted] = mid
-        hi[inverted] = mid
-
-    if return_internals:
-        return lo, hi, KMInternals(order=order, L=L, R=R,
-                                   den_lo=den_lo, den_hi=den_hi)
-    return lo, hi
+    lo, hi, km = _km_sorted(np.take_along_axis(fl, order, axis=1),
+                            np.take_along_axis(fu, order, axis=1),
+                            np.take_along_axis(y, order, axis=1), order)
+    return (lo, hi, km) if return_internals else (lo, hi)
 
 
 def km_type_reduce(f: FiringIntervals, y: np.ndarray) -> TypeReducedSet:
@@ -453,20 +478,39 @@ def gt2_aggregate(centers: Sequence[float], alphas: Sequence[float]) -> float:
 # Forward pass: alpha-independent batch terms, then one slice at a time
 # ---------------------------------------------------------------------------
 
-def batch_terms(X: np.ndarray,
-                params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The alpha-independent work of a batch, shared by every slice.
+class BatchTerms(NamedTuple):
+    """The alpha-independent terms of a batch, shared by every slice.
 
-    Checks ``X`` once and returns its primary memberships (B, P, M) and
-    consequent values (B, P).
+    Each row's rules are sorted once by ascending consequent (a stable
+    sort), the order Karnik-Mendel reduction needs.  ``order`` maps sorted
+    position -> rule index; ``gamma`` and ``y`` are already in that order.
     """
+
+    gamma: np.ndarray  # (B, P, M) primary memberships
+    y: np.ndarray      # (B, P) consequents, ascending along each row
+    order: np.ndarray  # (B, P)
+
+
+def batch_terms(X: np.ndarray, params: ModelParams) -> BatchTerms:
+    """Check ``X`` once and compute its memberships and sorted consequents."""
     X = np.asarray(X, dtype=float)
-    return pmf_batch(X, params), _consequents(X, params)
+    gamma, y = pmf_batch(X, params), _consequents(X, params)
+    order = np.argsort(y, axis=1, kind="stable")
+    # gather through flat row-major positions: np.take on a flat index
+    # costs far less per call than take_along_axis on small batches
+    B, P, M = gamma.shape
+    at = order + P * np.arange(B)[:, None]
+    return BatchTerms(gamma=np.take(gamma.reshape(B * P, M), at, axis=0),
+                      y=np.take(y, at), order=order)
 
 
 @dataclass(frozen=True)
 class SliceForward:
-    """One slice of the forward pass, with what backpropagation consumes."""
+    """One slice of the forward pass, with what backpropagation consumes.
+
+    The (B, P) and (B, P, M) arrays are in consequent order, as in the
+    :class:`BatchTerms` the slice ran on.
+    """
 
     alpha: float
     lower: np.ndarray    # (B, P, M) membership bounds, clamped into [0, 1]
@@ -478,26 +522,33 @@ class SliceForward:
     km: KMInternals
 
 
-def slice_forward(gamma: np.ndarray, y: np.ndarray, alpha: AlphaLevel | float,
-                  params: ModelParams) -> SliceForward:
-    """Forward pass at one slice from the terms of :func:`batch_terms`."""
-    lower, upper = smf_bounds(gamma, alpha, params)
+def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float,
+                  params: ModelParams, first_row: int = 0) -> SliceForward:
+    """Forward pass at one slice from the terms of :func:`batch_terms`.
+
+    The secondary spreads are per input, not per rule, so the bounds and
+    the t-norm run on the sorted rules as they are; the reduction needs no
+    sort of its own.  ``first_row`` offsets the row a
+    :class:`DegenerateFiringError` names, for terms of a block of rows.
+    """
+    lower, upper = smf_bounds(terms.gamma, alpha, params)
     f_lower, f_upper = _product_tnorm(lower), _product_tnorm(upper)
-    lo, hi, km = km_reduce_batch(f_lower, f_upper, y, return_internals=True)
+    _check_firing(f_upper, first_row)
+    lo, hi, km = _km_sorted(f_lower, f_upper, terms.y, terms.order)
     return SliceForward(alpha=float(alpha), lower=lower, upper=upper,
                         f_lower=f_lower, f_upper=f_upper, lo=lo, hi=hi, km=km)
 
 
-def _slice_bounds(gamma, y, alpha, params):
+def _slice_bounds(terms, alpha, params, first_row=0):
     """``(lo, hi)`` of one slice; the rest of its record is freed on return."""
-    s = slice_forward(gamma, y, alpha, params)
+    s = slice_forward(terms, alpha, params, first_row)
     return s.lo, s.hi
 
 
 def trs_batch(X: np.ndarray, alpha: AlphaLevel | float,
               params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Interval bounds [lo, hi] at one slice for a batch, each (B,)."""
-    return _slice_bounds(*batch_terms(X, params), alpha, params)
+    return _slice_bounds(batch_terms(X, params), alpha, params)
 
 
 def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
@@ -505,7 +556,9 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     """
     Batched prediction: interval at ``alpha`` plus crisp point output.
 
-    Memberships and consequents are computed once and shared by all slices.
+    The rows run in blocks of at most ``_ROW_BLOCK``: memberships and
+    sorted consequents are computed once per block and shared by all its
+    slices.
 
     Returns
     -------
@@ -516,15 +569,24 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     plane_values = [_alpha_value(p) for p in planes]
     if not plane_values:
         raise ValueError("plane stack must contain at least one alpha level")
-    gamma, y = batch_terms(X, params)
-    lo, hi = _slice_bounds(gamma, y, alpha, params)
-    weighted = np.zeros(lo.shape[0])
-    for p in plane_values:
-        if p == alpha:
-            plo, phi_ = lo, hi
-        else:
-            plo, phi_ = _slice_bounds(gamma, y, p, params)
-        weighted += 0.5 * (plo + phi_) * p
+    X = _checked_inputs(X, params)
+    B = X.shape[0]
+    # near-equal blocks rather than a short last one: a one-row block would
+    # take numpy's matrix-vector product, whose consequents can differ from
+    # the matrix-matrix product's in the last bit
+    n_blocks = max(1, -(-B // _ROW_BLOCK))
+    edges = [B * i // n_blocks for i in range(n_blocks + 1)]
+    lo, hi, weighted = np.empty(B), np.empty(B), np.zeros(B)
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        terms = batch_terms(X[rows], params)
+        lo[rows], hi[rows] = _slice_bounds(terms, alpha, params, start)
+        for p in plane_values:
+            if p == alpha:
+                plo, phi_ = lo[rows], hi[rows]
+            else:
+                plo, phi_ = _slice_bounds(terms, p, params, start)
+            weighted[rows] += 0.5 * (plo + phi_) * p
     point = weighted / sum(plane_values)
     return lo, hi, point
 

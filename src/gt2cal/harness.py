@@ -279,11 +279,20 @@ def load_model(path) -> ModelBundle:
     for name in _PARAM_FIELDS:
         if name not in params_doc:
             raise SchemaError(f"model file is missing field 'params.{name}'")
-        arrays[name] = np.asarray(params_doc[name], dtype=float)
+        try:
+            arrays[name] = np.asarray(params_doc[name], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"model file field 'params.{name}' is not a "
+                              f"numeric array: {exc}") from exc
     try:
         params = ModelParams(**arrays)
     except ValueError as exc:
         raise SchemaError(f"model file holds invalid parameters: {exc}") from exc
+
+    for key in ("normalization", "train_config", "metadata"):
+        if not isinstance(doc.get(key), (dict, type(None))):
+            raise SchemaError(f"model file field '{key}' must be an object or "
+                              f"null, got {type(doc[key]).__name__}")
 
     stats = None
     norm = doc.get("normalization")
@@ -299,7 +308,7 @@ def load_model(path) -> ModelBundle:
                 y_mean=float(norm["y_mean"]),
                 y_std=float(norm["y_std"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"model file holds an invalid normalization "
                               f"block: {exc}") from exc
         M = params.n_inputs

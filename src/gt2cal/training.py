@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     ALPHA_MIN,
     DEFAULT_PLANES,
+    BatchTerms,
     ModelParams,
     SliceForward,
     batch_terms,
@@ -209,8 +210,7 @@ class ForwardResult:
     lo: np.ndarray           # (B,) bottom-slice interval bounds
     hi: np.ndarray
     params: ModelParams      # the constrained parameters the pass ran with
-    gamma: np.ndarray
-    y_cons: np.ndarray
+    terms: BatchTerms        # memberships and consequents, consequent order
     planes: list[SliceForward]  # bottom slice first
     weights: np.ndarray         # each slice's weight in the point
 
@@ -224,7 +224,7 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     params = raw.constrain()
-    gamma, y_cons = batch_terms(X, params)
+    terms = batch_terms(X, params)
 
     # the bottom slice always runs (the pinball loss reads it); in the
     # point it weighs its alpha only if the plane stack serves it
@@ -233,7 +233,7 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
         alphas += [a for a in cfg.planes if a != ALPHA_MIN]
         weights = [a if a in cfg.planes else 0.0 for a in alphas]
     weights = np.array(weights)
-    planes = [slice_forward(gamma, y_cons, a, params) for a in alphas]
+    planes = [slice_forward(terms, a, params) for a in alphas]
 
     base = planes[0]
     centers = np.stack([0.5 * (p.lo + p.hi) for p in planes])
@@ -244,8 +244,26 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
                          pinball_pair_loss(y, base.lo, base.hi,
                                            cfg.tau_lo, cfg.tau_hi)))
     return ForwardResult(loss=loss, point=point, lo=base.lo, hi=base.hi,
-                         params=params, gamma=gamma, y_cons=y_cons,
+                         params=params, terms=terms,
                          planes=planes, weights=weights)
+
+
+def _rule_positions(order):
+    """Flat row-major position of each rule's entry in consequent order.
+
+    For a (B, P) sort ``order``, entry (b, p) is ``b * P`` plus rule p's
+    rank among row b's sorted consequents.
+    """
+    B, P = order.shape
+    back = np.empty(B * P, dtype=np.intp)
+    back[(order + P * np.arange(B)[:, None]).ravel()] = np.arange(B * P)
+    return back.reshape(B, P)
+
+
+def _to_rule_order(a, back):
+    """A (B, P) or (B, P, M) array in consequent order, back in rule order."""
+    B, P = back.shape
+    return np.take(a.reshape(B * P, -1), back, axis=0).reshape(a.shape)
 
 
 def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
@@ -253,16 +271,14 @@ def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
 
     With the switch points held fixed, each bound is a plain weighted
     average, so d(bound)/dy_p = w_p / W and d(bound)/dw_p = (y_p - bound)/W.
-    Everything stays in rule order: a rule's rank among the sorted
-    consequents says which side of each switch it sits on, and so whether
-    its weight in that bound is its upper or its lower firing.
+    Everything is in consequent order, as the slice is: the lower bound
+    weighs the ``L`` smallest consequents by their upper firing, the upper
+    bound the ``R`` smallest by their lower firing.
     """
     km = plane.km
-    P = y_cons.shape[1]
-    rank = np.empty_like(km.order)
-    np.put_along_axis(rank, km.order, np.arange(P)[None, :], axis=1)
-    upper_lo = rank < km.L[:, None]  # lo: upper firing on the L smallest
-    lower_hi = rank < km.R[:, None]  # hi: lower firing on the R smallest
+    sorted_pos = np.arange(y_cons.shape[1])[None, :]
+    upper_lo = sorted_pos < km.L[:, None]  # lo: upper firing on the L smallest
+    lower_hi = sorted_pos < km.R[:, None]  # hi: lower firing on the R smallest
     fl, fu = plane.f_lower, plane.f_upper
 
     c_lo = (d_lo / km.den_lo)[:, None]
@@ -281,6 +297,8 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     y = np.asarray(y, dtype=float)
     fwd = _forward(X, y, raw, cfg)
     params = fwd.params
+    terms = fwd.terms
+    back = _rule_positions(terms.order)
     B = X.shape[0]
 
     # loss-level derivatives
@@ -295,8 +313,9 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     total = fwd.weights.sum()
     plane_center_grads = [d_point * (w / total) for w in fwd.weights]
 
-    d_gamma = np.zeros_like(fwd.gamma)
-    d_y_cons = np.zeros_like(fwd.y_cons)
+    # d_gamma in rule order; d_y_cons in consequent order until the end
+    d_gamma = np.zeros_like(terms.gamma)
+    d_y_cons = np.zeros_like(terms.y)
     d_sigma_l = np.zeros_like(params.sigma_l)
     d_sigma_r = np.zeros_like(params.sigma_r)
 
@@ -307,7 +326,7 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
         if i == 0:  # pinball acts on the bottom slice only
             d_lo = d_lo + d_lo_pin
             d_hi = d_hi + d_hi_pin
-        d_y, d_fl, d_fu = _backward_km(plane, d_lo, d_hi, fwd.y_cons)
+        d_y, d_fl, d_fu = _backward_km(plane, d_lo, d_hi, terms.y)
         d_y_cons += d_y
 
         # through the log-domain product: df/dmu = f / mu on active factors;
@@ -317,8 +336,10 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
                                plane.f_upper[:, :, None] / plane.upper, 0.0)
             ratio_l = np.where(plane.lower > 0.0,
                                plane.f_lower[:, :, None] / plane.lower, 0.0)
-        d_u = d_fu[:, :, None] * ratio_u
-        d_l = d_fl[:, :, None] * ratio_l
+        # back in rule order before any sum over rules, which would round
+        # differently over the rules of another order
+        d_u = _to_rule_order(d_fu[:, :, None] * ratio_u, back)
+        d_l = _to_rule_order(d_fl[:, :, None] * ratio_l, back)
 
         d_gamma += d_u + d_l
         k = spread_scale(plane.alpha)
@@ -329,11 +350,12 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     # membership -> centers and primary deviations
     d = X[:, None, :] - params.c[None, :, :]
     inv_var = 1.0 / params.sigma[None, :, :] ** 2
-    common = d_gamma * fwd.gamma
+    common = d_gamma * _to_rule_order(terms.gamma, back)
     d_c = (common * d * inv_var).sum(axis=0)
     d_sigma = (common * d ** 2 * inv_var / params.sigma[None, :, :]).sum(axis=0)
 
     # consequents
+    d_y_cons = _to_rule_order(d_y_cons, back)
     d_a = d_y_cons.T @ X
     d_a0 = d_y_cons.sum(axis=0)
 
@@ -362,11 +384,13 @@ def piece_signature(X, y, raw: RawParams, cfg: TrainConfig) -> bytes:
     use this to discard probes that straddle a kink.
     """
     fwd = _forward(X, y, raw, cfg)
+    back = _rule_positions(fwd.terms.order)
     parts = []
     for plane in fwd.planes:
         parts.extend([plane.km.order.tobytes(), plane.km.L.tobytes(),
-                      plane.km.R.tobytes(), (plane.upper >= 1.0).tobytes(),
-                      (plane.lower <= 0.0).tobytes()])
+                      plane.km.R.tobytes()])
+        parts.extend(_to_rule_order(mask, back).tobytes()
+                     for mask in (plane.upper >= 1.0, plane.lower <= 0.0))
     parts.append(((y - fwd.lo) >= 0.0).tobytes())
     parts.append(((y - fwd.hi) >= 0.0).tobytes())
     return b"".join(parts)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gt2cal import core
 from gt2cal.core import (
     DEFAULT_PLANES,
     AlphaLevel,
@@ -9,6 +10,7 @@ from gt2cal.core import (
     ModelParams,
     TypeReducedSet,
     alpha_plane_center,
+    batch_terms,
     consequent_values,
     firing_intervals,
     gt2_aggregate,
@@ -16,11 +18,14 @@ from gt2cal.core import (
     km_type_reduce,
     pmf_eval,
     predict,
+    pmf_batch,
     predict_batch,
+    slice_forward,
     smf_bounds,
     spread_scale,
     trs_batch,
     _product_tnorm,
+    _ROW_BLOCK,
 )
 from gt2cal.errors import DegenerateFiringError
 
@@ -62,6 +67,13 @@ class TestModelParams:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             single_rule_model(0.0, 0.0, 0.1, 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("P, M", [(1, 0), (0, 2)])
+    def test_rejects_empty_rule_base(self, P, M):
+        with pytest.raises(ValueError, match="at least one rule and one input"):
+            ModelParams(c=np.zeros((P, M)), sigma=np.ones((P, M)),
+                        sigma_l=np.ones(M), sigma_r=np.ones(M),
+                        a=np.zeros((P, M)), a0=np.zeros(P))
 
     def test_rejects_rule_indexed_secondary_deviations(self):
         with pytest.raises(ValueError):
@@ -401,3 +413,79 @@ class TestSharedForward:
         np.testing.assert_array_equal(lo, ref_lo)
         np.testing.assert_array_equal(hi, ref_hi)
         np.testing.assert_array_equal(point, weighted / sum(planes))
+
+    @pytest.mark.parametrize("n_rows", [2 * _ROW_BLOCK + 37, _ROW_BLOCK + 1])
+    def test_row_blocks_equal_per_plane_trs_batch(self, rng, n_rows):
+        m = random_model(rng, n_rules=10, n_inputs=4)
+        X = rng.normal(size=(n_rows, 4))
+        lo, hi, point = predict_batch(X, 0.37, m)
+        ref_lo, ref_hi = trs_batch(X, 0.37, m)
+        weighted = np.zeros(n_rows)
+        for p in DEFAULT_PLANES:
+            plo, phi_ = trs_batch(X, p, m)
+            weighted += 0.5 * (plo + phi_) * p
+        np.testing.assert_array_equal(lo, ref_lo)
+        np.testing.assert_array_equal(hi, ref_hi)
+        np.testing.assert_array_equal(point, weighted / sum(DEFAULT_PLANES))
+        for i in (0, _ROW_BLOCK - 1, _ROW_BLOCK, n_rows // 2, n_rows - 1):
+            np.testing.assert_allclose(predict(X[i], 0.37, m),
+                                       (lo[i], hi[i], point[i]),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_rows, blocks", [
+        (1, 1), (_ROW_BLOCK, 1), (_ROW_BLOCK + 1, 2), (2 * _ROW_BLOCK + 37, 3)])
+    def test_batch_terms_once_per_row_block(self, rng, monkeypatch,
+                                            n_rows, blocks):
+        calls = []
+        real = core.batch_terms
+
+        def counting(X, params):
+            calls.append(len(X))
+            return real(X, params)
+
+        monkeypatch.setattr(core, "batch_terms", counting)
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        predict_batch(rng.normal(size=(n_rows, 2)), 0.5, m)
+        assert len(calls) == blocks
+        assert sum(calls) == n_rows
+        assert max(calls) <= _ROW_BLOCK
+
+    def test_slice_runs_no_sort_and_no_gather(self, rng, monkeypatch):
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        terms = batch_terms(rng.normal(size=(50, 3)), m)
+        ref = slice_forward(terms, 0.3, m)
+        calls = []
+        for name in ("argsort", "sort", "take", "take_along_axis", "put_along_axis"):
+            real = getattr(np, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        s = slice_forward(terms, 0.3, m)
+        assert calls == []
+        np.testing.assert_array_equal(s.lo, ref.lo)
+        np.testing.assert_array_equal(s.hi, ref.hi)
+
+    def test_terms_are_in_consequent_order(self, rng):
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        X = rng.normal(size=(40, 3))
+        X[:20] = np.round(X[:20])  # integer rows: tied consequents
+        m = ModelParams(c=m.c, sigma=m.sigma, sigma_l=m.sigma_l,
+                        sigma_r=m.sigma_r, a=np.round(m.a), a0=np.round(m.a0))
+        terms = batch_terms(X, m)
+        y = X @ m.a.T + m.a0
+        order = np.argsort(y, axis=1, kind="stable")
+        np.testing.assert_array_equal(terms.order, order)
+        np.testing.assert_array_equal(terms.y, np.take_along_axis(y, order, 1))
+        np.testing.assert_array_equal(
+            terms.gamma, np.take_along_axis(pmf_batch(X, m), order[:, :, None], 1))
+        assert np.all(np.diff(terms.y, axis=1) >= 0.0)
+
+    def test_degenerate_row_named_in_the_callers_batch(self):
+        m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
+        X = np.zeros((2000, 1))
+        X[1500] = 100.0  # past the first row block
+        with pytest.raises(DegenerateFiringError, match=r"input row 1500 "):
+            predict_batch(X, 1.0, m)

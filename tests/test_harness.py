@@ -1,10 +1,12 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gt2cal.core import predict_batch
-from gt2cal.errors import SchemaError
+from gt2cal.errors import DegenerateFiringError, SchemaError
 from gt2cal.harness import (
     NormalizationStats,
     format_report,
@@ -199,6 +201,121 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             load_model(path)
+
+
+class TestMalformedFields:
+    """A field of the wrong type is a schema error that names the field."""
+
+    @staticmethod
+    def _write(tmp_path, rng, section, **fields):
+        m = random_model(rng, n_rules=2, n_inputs=2)
+        path = tmp_path / "model.json"
+        save_model(path, m)
+        doc = json.loads(path.read_text())
+        if section is None:
+            doc.update(fields)
+        else:
+            doc[section].update(fields)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [
+        {"x": 1},                  # an object
+        "abc",                     # a string that is not a number
+        [[1.0, 2.0], [3.0]],       # a ragged list
+        [[10 ** 400, 0.0], [0.0, 0.0]],  # an integer past the float range
+    ])
+    def test_param_field_not_numeric(self, tmp_path, rng, value):
+        path = self._write(tmp_path, rng, "params", c=value)
+        with pytest.raises(SchemaError, match=r"params\.c"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("normalization", 5), ("train_config", [0.5]), ("metadata", "seed 1")])
+    def test_block_not_an_object(self, tmp_path, rng, field, value):
+        # the CLI reads train_config and metadata with dict.get
+        path = self._write(tmp_path, rng, None, **{field: value})
+        with pytest.raises(SchemaError, match=field):
+            load_model(path)
+
+    def test_model_without_inputs_does_not_load(self, tmp_path, rng):
+        # it would load and then fail at the first prediction
+        path = self._write(tmp_path, rng, "params", c=[[]], sigma=[[]],
+                           sigma_l=[], sigma_r=[], a=[[]], a0=[0.0])
+        with pytest.raises(SchemaError, match="at least one"):
+            load_model(path)
+
+
+_DROP = object()
+
+#: Every field of a saved model with a normalization block, as key paths.
+_FIELD_PATHS = (
+    [("kind",), ("schema_version",), ("params",)]
+    + [("params", f) for f in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")]
+    + [("normalization",)]
+    + [("normalization", k) for k in ("x_mean", "x_std", "y_mean", "y_std")]
+    + [("train_config",), ("metadata",)])
+
+# Finite magnitudes stay below 1e300 so that a sum of a few consequents
+# cannot leave the float64 range: that is overflow, not a schema question.
+_numbers = (st.floats(min_value=-1e300, max_value=1e300)
+            | st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+_json_values = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4)
+    | st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+def _numbers_shaped(shape):
+    """Nested lists of numbers with the given shape."""
+    if not shape:
+        return _numbers
+    return st.lists(_numbers_shaped(shape[1:]), min_size=shape[0],
+                    max_size=shape[0])
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    rng = np.random.default_rng(7)
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    stats = NormalizationStats.fit(rng.normal(size=(30, 2)), rng.normal(size=30))
+    save_model(path, random_model(rng, n_rules=3, n_inputs=2), stats=stats,
+               train_config=TrainConfig())
+    return path, json.loads(path.read_text())
+
+
+class TestModelFileFuzz:
+    """A model file either fails to load with SchemaError, or it runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_and_runs_or_is_rejected(self, saved_model, data):
+        path, original = saved_model
+        doc = copy.deepcopy(original)
+        *parents, key = data.draw(st.sampled_from(_FIELD_PATHS), label="field")
+        owner = doc
+        for name in parents:
+            owner = owner[name]
+        value = data.draw(st.just(_DROP) | _json_values
+                          | _numbers_shaped(np.shape(owner[key])), label="value")
+        if value is _DROP:
+            del owner[key]
+        else:
+            owner[key] = value
+        path.write_text(json.dumps(doc))
+
+        try:
+            bundle = load_model(path)
+        except SchemaError:
+            return
+        X = np.zeros((1, bundle.params.n_inputs))
+        try:
+            out = predict_batch(X, 0.37, bundle.params)
+        except DegenerateFiringError:
+            return
+        assert all(np.all(np.isfinite(v)) for v in out)
 
 
 class TestNormalizationBlockChecks:
