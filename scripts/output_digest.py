@@ -97,8 +97,10 @@ def main():
         emit(f"calibrate_search.{phi_d:.2f}",
              [r.alpha_star, r.phi_achieved, r.iterations, float(r.converged)])
 
-    table = build_lookup_table(params, Xc, yc, 0.01)
-    emit("lookup_table.0.01", table.alphas, table.phis)
+    # 100, 21 and 332 grid points: bisections of 7, 5 and 9 passes
+    for delta in (0.01, 0.05, 0.003):
+        table = build_lookup_table(params, Xc, yc, delta)
+        emit(f"lookup_table.{delta}", table.alphas, table.phis)
 
     for alpha in (0.01, 0.37, 1.0):
         emit(f"trs_batch.alpha{alpha}", *trs_batch(Xc, alpha, params))

@@ -32,14 +32,25 @@ from .errors import FlatCurveError
 # Interval quality metrics
 # ---------------------------------------------------------------------------
 
+def _checked_targets(y, n: int, metric: str) -> np.ndarray:
+    """``y`` as a finite float (n,) array with n > 0, or ValueError."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"targets must be a 1-D array of {n} values, "
+                         f"got shape {y.shape}")
+    if n == 0:
+        raise ValueError(f"{metric} of an empty sample is undefined")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets contain non-finite values")
+    return y
+
+
 def _intervals(y, lo, hi, metric: str):
     """Targets and interval bounds as equal-length, non-empty 1-D arrays."""
-    y, lo, hi = (np.asarray(v, dtype=float) for v in (y, lo, hi))
-    if y.shape != lo.shape or y.shape != hi.shape or y.ndim != 1:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("y, lo, hi must be 1-D arrays of equal length")
-    if y.size == 0:
-        raise ValueError(f"{metric} of an empty sample is undefined")
-    return y, lo, hi
+    return _checked_targets(y, lo.size, metric), lo, hi
 
 
 def picp(y, lo, hi) -> float:
@@ -65,26 +76,29 @@ def pinaw(y, lo, hi) -> float:
 
 
 def _coverage_oracle(params: ModelParams, X, y):
-    """Coverage on one dataset as a function of alpha.
+    """Which rows of one dataset a slice covers, as a function of alpha.
 
     Memberships, consequents and the consequent sort do not depend on
-    alpha, so they are computed once here; each call of the returned
-    function runs one slice on them.  Every slice picker probes through one
-    oracle per dataset.
+    alpha, so they are computed once here, and ``y`` is checked once; each
+    call of the returned function runs one slice on them and returns the
+    (Q,) boolean ``lo <= y <= hi`` (boundary hits count as covered).
+    ``alpha`` is one level or a (Q,) array with one level per row.  Every
+    slice picker probes through one oracle per dataset; the mean of a
+    probe is :func:`picp` of it.
     """
-    y = np.asarray(y, dtype=float)
     terms = batch_terms(X, params)
+    y = _checked_targets(y, terms.y.shape[0], "coverage")
 
-    def coverage(alpha) -> float:
+    def covered(alpha) -> np.ndarray:
         s = slice_forward(terms, alpha, params)
-        return picp(y, s.lo, s.hi)
+        return (s.lo <= y) & (y <= s.hi)
 
-    return coverage
+    return covered
 
 
 def coverage_at_alpha(params: ModelParams, X, y, alpha) -> float:
     """Empirical coverage of the slice-alpha interval on a dataset."""
-    return _coverage_oracle(params, X, y)(alpha)
+    return float(np.mean(_coverage_oracle(params, X, y)(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +126,10 @@ def _isotonic_decreasing(values: np.ndarray) -> np.ndarray:
 class CalibrationTable:
     """Sampled (alpha, coverage) pairs with alpha ascending.
 
-    Coverage is non-increasing in alpha; sampling noise that breaks this is
-    repaired isotonically at construction, since the underlying curve is
-    monotone by interval nesting.
+    Coverage is non-increasing in alpha, since intervals nest.  A table
+    from :func:`build_lookup_table` is so by construction; a curve that
+    breaks this, say one read from a file, is repaired isotonically at
+    construction.
     """
 
     alphas: np.ndarray
@@ -159,10 +174,38 @@ def alpha_grid(delta: float) -> np.ndarray:
 
 
 def build_lookup_table(params: ModelParams, X, y, delta: float) -> CalibrationTable:
-    """Sample the coverage curve on the quantized grid."""
+    """The coverage curve on the quantized grid, from per-row critical slices.
+
+    Intervals nest as alpha grows, so each row is covered on a prefix of
+    the grid: grid indices 0..k_i, with k_i = -1 for a row covered at no
+    slice.  Then the coverage at grid index j is #(k_i >= j) / Q.  The top
+    slice is probed first, over all rows: its firing check is the
+    strictest, so a row outside every rule's support raises there.  After
+    the bottom slice, the rows still open are bisected together, one slice
+    per pass with one alpha per row: 2 + ceil(log2(n - 1)) slices for an
+    n-point grid instead of n.
+
+    Where every row's coverage nests, each phi is the float the mean of
+    that slice's coverage booleans gives, and the curve is non-increasing
+    by construction.  A target within rounding of a bound that moves by an
+    ulp from slice to slice can break nesting; such a row counts as
+    covered up to some slice that covers it where the next one does not,
+    and moves a phi by at most 1/Q from that slice's mean.
+    """
     grid = alpha_grid(delta)
-    coverage = _coverage_oracle(params, X, y)
-    phis = np.array([coverage(a) for a in grid])
+    n = grid.size
+    covered = _coverage_oracle(params, X, y)
+    k = np.where(covered(grid[-1]), n - 1, -1)
+    open_rows = (k < 0) & covered(grid[0])
+    k[open_rows] = 0
+    # an open row has 0 <= k_i <= n - 2: try steps of 2^m down to 1, each
+    # pass probing every row (a closed row's probe is not used)
+    for shift in reversed(range((n - 2).bit_length())):
+        probe = k + (1 << shift)
+        hit = covered(grid[np.minimum(probe, n - 1)])
+        k = np.where(open_rows & (probe <= n - 2) & hit, probe, k)
+    counts = np.bincount(k + 1, minlength=n + 1)
+    phis = np.cumsum(counts[::-1])[::-1][1:] / k.size
     return CalibrationTable(alphas=grid, phis=phis)
 
 
@@ -344,4 +387,5 @@ def calibrate_search(params: ModelParams, X, y,
         if q == 0:
             raise ValueError("calibration set is empty")
         cfg = replace(cfg, epsilon=max(0.005, 1.0 / q))
-    return search_alpha(_coverage_oracle(params, X, y), cfg)
+    covered = _coverage_oracle(params, X, y)
+    return search_alpha(lambda alpha: float(np.mean(covered(alpha))), cfg)

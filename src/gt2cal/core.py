@@ -70,9 +70,29 @@ def _alpha_value(alpha: AlphaLevel | float) -> float:
     return AlphaLevel(float(alpha)).value
 
 
-def spread_scale(alpha: AlphaLevel | float) -> float:
-    """Width multiplier sqrt(-2 ln alpha) of the secondary spread at a slice."""
-    a = _alpha_value(alpha)
+def _alpha_levels(alpha) -> float | np.ndarray:
+    """A validated alpha level, or a validated (B,) array of per-row levels."""
+    if isinstance(alpha, np.ndarray) and alpha.ndim > 0:
+        a = alpha.astype(float)
+        if a.ndim != 1:
+            raise ValueError(f"per-row alpha must be a (B,) array, got shape "
+                             f"{a.shape}")
+        # NaN fails both comparisons
+        if not np.all((a >= ALPHA_MIN) & (a <= 1.0)):
+            raise ValueError(f"every alpha must lie in [{ALPHA_MIN}, 1]")
+        return a
+    return _alpha_value(alpha)
+
+
+def spread_scale(alpha: AlphaLevel | float | np.ndarray) -> float | np.ndarray:
+    """Width multiplier sqrt(-2 ln alpha) of the secondary spread at a slice.
+
+    ``alpha`` is one level or a (B,) array of per-row levels; an array gives
+    an array of the same values the scalar form gives, bit for bit.
+    """
+    a = _alpha_levels(alpha)
+    if isinstance(a, np.ndarray):
+        return np.where(a >= 1.0, 0.0, np.sqrt(-2.0 * np.log(a)))
     if a >= 1.0:
         return 0.0
     return float(np.sqrt(-2.0 * np.log(a)))
@@ -212,7 +232,7 @@ def pmf_eval(x: np.ndarray, params: ModelParams) -> np.ndarray:
     return pmf_batch(x[None, :], params)[0]
 
 
-def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float,
+def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
                params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """
     Lower/upper membership bounds at a slice.
@@ -224,6 +244,8 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float,
     Parameters
     ----------
     gamma : (..., P, M) array of primary memberships, one matrix per input.
+    alpha : one slice level, or a (B,) array with one level per input of a
+        (B, P, M) ``gamma``.
 
     Returns
     -------
@@ -232,6 +254,11 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float,
     """
     k = spread_scale(alpha)
     gamma = np.asarray(gamma, dtype=float)
+    if isinstance(k, np.ndarray):
+        if gamma.ndim != 3 or k.shape != gamma.shape[:1]:
+            raise ValueError(f"per-row alpha of shape {k.shape} does not match "
+                             f"memberships of shape {gamma.shape}")
+        k = k[:, None, None]
     upper = gamma + k * params.sigma_r
     np.minimum(upper, 1.0, out=upper)
     lower = gamma - k * params.sigma_l
@@ -512,7 +539,7 @@ class SliceForward:
     :class:`BatchTerms` the slice ran on.
     """
 
-    alpha: float
+    alpha: AlphaLevel | float | np.ndarray  # as passed to slice_forward
     lower: np.ndarray    # (B, P, M) membership bounds, clamped into [0, 1]
     upper: np.ndarray
     f_lower: np.ndarray  # (B, P) rule firings
@@ -522,10 +549,13 @@ class SliceForward:
     km: KMInternals
 
 
-def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float,
+def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float | np.ndarray,
                   params: ModelParams, first_row: int = 0) -> SliceForward:
     """Forward pass at one slice from the terms of :func:`batch_terms`.
 
+    ``alpha`` is one level for every row, or a (B,) array with one level
+    per row; each row's results equal those of the one-level slice at its
+    own alpha, bit for bit, since every step after the bounds is per row.
     The secondary spreads are per input, not per rule, so the bounds and
     the t-norm run on the sorted rules as they are; the reduction needs no
     sort of its own.  ``first_row`` offsets the row a
@@ -535,7 +565,7 @@ def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float,
     f_lower, f_upper = _product_tnorm(lower), _product_tnorm(upper)
     _check_firing(f_upper, first_row)
     lo, hi, km = _km_sorted(f_lower, f_upper, terms.y, terms.order)
-    return SliceForward(alpha=float(alpha), lower=lower, upper=upper,
+    return SliceForward(alpha=alpha, lower=lower, upper=upper,
                         f_lower=f_lower, f_upper=f_upper, lo=lo, hi=hi, km=km)
 
 

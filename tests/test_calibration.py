@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gt2cal.core
 from gt2cal.calibration import (
@@ -20,8 +21,8 @@ from gt2cal.calibration import (
     search_alpha,
     _isotonic_decreasing,
 )
-from gt2cal.core import trs_batch
-from gt2cal.errors import FlatCurveError
+from gt2cal.core import ModelParams, trs_batch
+from gt2cal.errors import DegenerateFiringError, FlatCurveError
 
 from conftest import random_model
 
@@ -375,3 +376,119 @@ class TestCoverageOracle:
         calls.clear()
         build_lookup_table(m, X, y, 0.01)
         assert len(calls) == 1
+
+
+class TestNonFiniteTargets:
+    """A non-finite target is an error, not a miss."""
+
+    @pytest.fixture
+    def calib(self, rng):
+        m = random_model(rng, n_rules=5, n_inputs=2)
+        X = rng.normal(size=(200, 2))
+        y = rng.normal(size=200)
+        return m, X, y
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_picker_rejects(self, calib, bad):
+        m, X, y = calib
+        y = y.copy()
+        y[::10] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            coverage_at_alpha(m, X, y, 0.01)
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate_search(m, X, y, SearchConfig(phi_d=0.3))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_lookup_table(m, X, y, 0.01)
+
+    def test_all_infinite_targets_rejected(self, calib):
+        m, X, y = calib
+        with pytest.raises(ValueError, match="non-finite"):
+            build_lookup_table(m, X, np.full_like(y, np.inf), 0.01)
+
+    def test_metrics_reject(self):
+        y, lo, hi = np.array([np.nan, 1.0]), np.zeros(2), np.full(2, 2.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            picp(y, lo, hi)
+        with pytest.raises(ValueError, match="non-finite"):
+            pinaw(y, lo, hi)
+
+    def test_targets_must_match_rows(self, calib):
+        m, X, y = calib
+        with pytest.raises(ValueError, match="200 values"):
+            coverage_at_alpha(m, X, y[:-1], 0.5)
+        with pytest.raises(ValueError, match="empty"):
+            coverage_at_alpha(m, X[:0], y[:0], 0.5)
+
+
+class TestBisectionTable:
+    """The table from per-row critical slices equals the per-probe table."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_per_probe_table(self, data):
+        P = data.draw(st.integers(1, 8), label="P")
+        M = data.draw(st.integers(1, 5), label="M")
+        Q = data.draw(st.integers(1, 300), label="Q")
+        delta = data.draw(st.sampled_from([0.003, 0.01, 0.05, 0.3]),
+                          label="delta")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = random_model(rng, n_rules=P, n_inputs=M)
+        X = rng.normal(size=(Q, M))
+        grid = alpha_grid(delta)
+        # each row's target: noise, on a slice bound (covered down to that
+        # slice), far outside (covered at no slice) or inside the top
+        # slice (covered at every slice)
+        y = rng.normal(size=Q)
+        kind = rng.integers(0, 4, size=Q)
+        at = grid[data.draw(st.integers(0, grid.size - 1), label="bound")]
+        lo, hi = trs_batch(X, at, m)
+        y = np.where(kind == 1, np.where(rng.random(Q) < 0.5, lo, hi), y)
+        y = np.where(kind == 2, 1e3, y)
+        top_lo, top_hi = trs_batch(X, 1.0, m)
+        y = np.where(kind == 3, 0.5 * (top_lo + top_hi), y)
+
+        hits = np.array([(lo <= y) & (y <= hi)
+                         for lo, hi in (trs_batch(X, a, m) for a in grid)]).T
+        assert np.all(hits[kind == 1, np.searchsorted(grid, at)])
+        raw = np.array([coverage_at_alpha(m, X, y, a) for a in grid])
+        np.testing.assert_array_equal(raw, hits.mean(axis=0))
+        want = CalibrationTable(grid, raw)
+        got = build_lookup_table(m, X, y, delta)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        # a target within rounding of a bound that moves by an ulp from
+        # slice to slice can be covered at a slice and not at a lower one;
+        # only such rows may then count differently, each by 1/Q
+        unnested = np.any(np.diff(hits.astype(int), axis=1) > 0, axis=1)
+        if not np.any(unnested):
+            np.testing.assert_array_equal(got.phis, want.phis)
+        else:
+            assert np.all(np.diff(got.phis) <= 0.0)
+            assert np.all(np.abs(got.phis - raw) <= unnested.sum() / Q + 1e-12)
+
+    @pytest.mark.parametrize("delta, passes", [
+        (0.01, 9), (0.003, 11), (0.05, 7), (0.3, 4), (1 / 17, 7), (0.5, 3)])
+    def test_slice_count(self, rng, monkeypatch, delta, passes):
+        n = alpha_grid(delta).size
+        assert passes == 2 + int(np.ceil(np.log2(max(n - 1, 1))))
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        X = rng.normal(size=(250, 3))
+        y = 0.5 * rng.normal(size=250)
+        calls = []
+        real = gt2cal.core.smf_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gt2cal.core, "smf_bounds", counting)
+        build_lookup_table(m, X, y, delta)
+        assert len(calls) <= passes
+
+    def test_row_outside_every_rule_raises(self):
+        m = ModelParams(c=np.zeros((1, 1)), sigma=np.full((1, 1), 0.01),
+                        sigma_l=np.full(1, 1e-9), sigma_r=np.full(1, 1e-9),
+                        a=np.zeros((1, 1)), a0=np.zeros(1))
+        X = np.zeros((50, 1))
+        X[37] = 100.0
+        with pytest.raises(DegenerateFiringError, match="input row 37 "):
+            build_lookup_table(m, X, np.zeros(50), 0.01)

@@ -489,3 +489,49 @@ class TestSharedForward:
         X[1500] = 100.0  # past the first row block
         with pytest.raises(DegenerateFiringError, match=r"input row 1500 "):
             predict_batch(X, 1.0, m)
+
+
+class TestPerRowAlpha:
+    """A (B,) alpha runs each row at its own slice, bit for bit."""
+
+    def test_slice_equals_scalar_slice_per_row(self, rng):
+        m = random_model(rng, n_rules=7, n_inputs=3)
+        terms = batch_terms(rng.normal(size=(120, 3)), m)
+        grid = np.array([0.01, 0.05, 0.3, 0.37, 0.5, 0.99, 1.0])
+        alphas = np.where(rng.random(120) < 0.5, rng.choice(grid, 120),
+                          rng.uniform(0.01, 1.0, 120))
+        s = slice_forward(terms, alphas, m)
+        assert s.alpha is alphas
+        for i, a in enumerate(alphas):
+            ref = slice_forward(terms, float(a), m)
+            for name in ("lower", "upper", "f_lower", "f_upper", "lo", "hi"):
+                np.testing.assert_array_equal(getattr(s, name)[i],
+                                              getattr(ref, name)[i])
+            for name in ("L", "R", "den_lo", "den_hi"):
+                np.testing.assert_array_equal(getattr(s.km, name)[i],
+                                              getattr(ref.km, name)[i])
+
+    def test_spread_scale_array_equals_scalar(self):
+        from gt2cal.calibration import alpha_grid
+
+        rng = np.random.default_rng(20)
+        for alphas in (alpha_grid(0.01), alpha_grid(0.003),
+                       rng.uniform(0.01, 1.0, 10_000)):
+            want = np.array([spread_scale(float(a)) for a in alphas])
+            got = spread_scale(alphas)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+
+    @pytest.mark.parametrize("alphas", [
+        np.array([0.5, np.nan, 0.5]), np.array([0.5, 0.005, 0.5]),
+        np.array([0.5, 1.5, 0.5]), np.full(4, 0.5), np.full((3, 1), 0.5)])
+    def test_rejects_bad_per_row_alpha(self, rng, alphas):
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        terms = batch_terms(rng.normal(size=(3, 2)), m)
+        with pytest.raises(ValueError):
+            slice_forward(terms, alphas, m)
+        with pytest.raises(ValueError):
+            smf_bounds(terms.gamma, alphas, m)
+        if alphas.shape != (4,):  # a length only the batch can refuse
+            with pytest.raises(ValueError):
+                spread_scale(alphas)
