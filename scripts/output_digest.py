@@ -2,7 +2,8 @@
 """Print a SHA-256 digest of every numeric output of this checkout.
 
 One ``name sha256`` line per output: trained parameters, loss and gradient,
-piece signatures, batched and single-row prediction, search calibration,
+piece signatures, batched prediction over one and several row blocks and
+at every slice grouping, single-row prediction, search calibration,
 the lookup table, and one-slice bounds and coverage, all on seeded
 synthetic data (4 inputs, 10 rules) made here with numpy alone.  Run it on two commits and diff the outputs:
 equal lines mean bit-identical results.
@@ -91,6 +92,12 @@ def main():
     emit("predict_batch.all-rows",
          *predict_batch(np.vstack([X, Xc]), 0.37, params))
     emit("predict.row0", predict(Xc[0], 0.37, params))
+    # 12 slice levels per row block: one call of all 12 (1 and 7 rows),
+    # calls of 11 + 1 (86 rows) and of 3 + 3 + 3 + 3 (300 rows)
+    for n_rows in (1, 7, 86, 300):
+        emit(f"predict_batch.rows{n_rows}",
+             *predict_batch(Xc[:n_rows], 0.37, params))
+    emit("predict.rows0-4", [predict(x, 0.37, params) for x in Xc[:5]])
 
     for phi_d in (0.80, 0.85, 0.90, 0.95):
         r = calibrate_search(params, Xc, yc, SearchConfig(phi_d=phi_d))

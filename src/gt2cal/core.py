@@ -36,9 +36,9 @@ FIRING_EPS = 1e-15
 #: Per-factor floor inside the log-domain product, guarding log(0).
 _LOG_FLOOR = 1e-300
 
-#: Most rows :func:`predict_batch` runs through its slices at once, so that
-#: each (rows, P, M) slice temporary stays within L2 cache for typical rule
-#: bases.
+#: Most rows, or stacked (row, slice) pairs, one slice call of
+#: :func:`predict_batch` holds, so that each (rows, P, M) slice temporary
+#: stays within L2 cache for typical rule bases.
 _ROW_BLOCK = 1024
 
 
@@ -226,12 +226,6 @@ def _checked_inputs(X, params: ModelParams) -> np.ndarray:
     return X
 
 
-def pmf_eval(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Primary memberships of a single input vector, shape (P, M)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return pmf_batch(x[None, :], params)[0]
-
-
 def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
                params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """
@@ -306,26 +300,22 @@ def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
     return _product_tnorm(lower), f_upper
 
 
-def _check_firing(f_upper: np.ndarray, first_row: int = 0) -> None:
+def _check_firing(f_upper: np.ndarray,
+                  first_row: int | np.ndarray = 0) -> None:
     """Raise unless some rule fires in every row of a (B, P) firing array.
 
     ``first_row`` is the index of the array's first row in the caller's
-    batch, so that the error names the row the caller passed.
+    batch, or a (B,) array of each row's index there, so that the error
+    names the row the caller passed.
     """
     total = f_upper.sum(axis=1)
     if np.any(total < FIRING_EPS):
         idx = int(np.argmax(total < FIRING_EPS))
+        row = (int(first_row[idx]) if isinstance(first_row, np.ndarray)
+               else first_row + idx)
         raise DegenerateFiringError(
-            f"input row {first_row + idx} lies outside the support of every rule "
+            f"input row {row} lies outside the support of every rule "
             f"(total upper firing {total[idx]:.3e} < {FIRING_EPS:.0e})")
-
-
-def firing_intervals(x: np.ndarray, alpha: AlphaLevel | float,
-                     params: ModelParams) -> FiringIntervals:
-    """Firing interval of each rule for a single input vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f_lower, f_upper = firing_batch(x[None, :], alpha, params)
-    return FiringIntervals(lower=f_lower[0], upper=f_upper[0])
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +332,6 @@ def consequent_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _consequents(X: np.ndarray, params: ModelParams) -> np.ndarray:
     return X @ params.a.T + params.a0[None, :]
-
-
-def consequent_values(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Consequent value of each rule for a single input, shape (P,)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return consequent_batch(x[None, :], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +401,18 @@ def _km_sorted(fls, fus, ys, order):
     """Both ends of the reduced interval, from rules sorted by consequent.
 
     ``fls``, ``fus`` and ``ys`` are (B, P) and already in the order
-    ``order``; returns ``(lo, hi, KMInternals)``.
+    ``order``; returns ``(lo, hi, KMInternals)``.  Rows whose largest |y|
+    is 2**512 or more are scaled by a power of two into [0.5, 1) for the
+    sums, which then cannot overflow; that is exact unless a scaled value
+    is subnormal.  Smaller rows cannot overflow and skip the cost.
     """
+    # a sorted row's largest |y| is at one of its ends
+    scaled = max(-ys[:, 0].min(initial=0.0),
+                 ys[:, -1].max(initial=0.0)) >= 2.0 ** 512
+    if scaled:
+        _, exp = np.frexp(np.maximum(-ys[:, 0], ys[:, -1]))
+        exp[exp <= 512] = 0
+        ys = np.ldexp(ys, -exp[:, None])
     lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
     hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
 
@@ -429,6 +423,8 @@ def _km_sorted(fls, fus, ys, order):
         mid = 0.5 * (lo[inverted] + hi[inverted])
         lo[inverted] = mid
         hi[inverted] = mid
+    if scaled:
+        lo, hi = np.ldexp(lo, exp), np.ldexp(hi, exp)
     return lo, hi, KMInternals(order=order, L=L, R=R,
                                den_lo=den_lo, den_hi=den_hi)
 
@@ -482,26 +478,6 @@ def km_type_reduce(f: FiringIntervals, y: np.ndarray) -> TypeReducedSet:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation over alpha levels
-# ---------------------------------------------------------------------------
-
-def alpha_plane_center(trs: TypeReducedSet) -> float:
-    """Midpoint of a type-reduced interval."""
-    return 0.5 * (trs.lo + trs.hi)
-
-
-def gt2_aggregate(centers: Sequence[float], alphas: Sequence[float]) -> float:
-    """
-    Alpha-weighted average of per-slice centers: the crisp point output.
-    """
-    centers = np.asarray(centers, dtype=float)
-    a = np.asarray([_alpha_value(v) for v in np.atleast_1d(alphas)])
-    if centers.size == 0 or a.size != centers.size:
-        raise ValueError("need matching, non-empty center and alpha lists")
-    return float(np.dot(centers, a) / a.sum())
-
-
-# ---------------------------------------------------------------------------
 # Forward pass: alpha-independent batch terms, then one slice at a time
 # ---------------------------------------------------------------------------
 
@@ -550,7 +526,8 @@ class SliceForward:
 
 
 def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float | np.ndarray,
-                  params: ModelParams, first_row: int = 0) -> SliceForward:
+                  params: ModelParams,
+                  first_row: int | np.ndarray = 0) -> SliceForward:
     """Forward pass at one slice from the terms of :func:`batch_terms`.
 
     ``alpha`` is one level for every row, or a (B,) array with one level
@@ -559,7 +536,8 @@ def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float | np.ndarray,
     The secondary spreads are per input, not per rule, so the bounds and
     the t-norm run on the sorted rules as they are; the reduction needs no
     sort of its own.  ``first_row`` offsets the row a
-    :class:`DegenerateFiringError` names, for terms of a block of rows.
+    :class:`DegenerateFiringError` names, for terms of a block of rows;
+    terms that stack a block pass a (B,) array of each row's index.
     """
     lower, upper = smf_bounds(terms.gamma, alpha, params)
     f_lower, f_upper = _product_tnorm(lower), _product_tnorm(upper)
@@ -581,6 +559,30 @@ def trs_batch(X: np.ndarray, alpha: AlphaLevel | float,
     return _slice_bounds(batch_terms(X, params), alpha, params)
 
 
+def _block_bounds(terms: BatchTerms, levels: list[float], params: ModelParams,
+                  first_row: int) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+    """``{level: (lo, hi)}`` over the b rows of one block.
+
+    The levels run ``_ROW_BLOCK // b`` per call: one per-row-alpha slice
+    over the terms stacked slice-major once per level, or, for a single
+    level, a one-level slice on the terms as they are.
+    """
+    b = len(terms.y)
+    per_call = max(1, _ROW_BLOCK // max(b, 1))
+    bounds = {}
+    for i in range(0, len(levels), per_call):
+        group = levels[i:i + per_call]
+        k = len(group)
+        if k == 1:
+            bounds[group[0]] = _slice_bounds(terms, group[0], params, first_row)
+        else:
+            lo, hi = _slice_bounds(
+                BatchTerms(*(np.concatenate((t,) * k) for t in terms)),
+                np.repeat(group, b), params, first_row + np.arange(k * b) % b)
+            bounds.update(zip(group, zip(lo.reshape(k, b), hi.reshape(k, b))))
+    return bounds
+
+
 def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
                   planes: Sequence[float] = DEFAULT_PLANES):
     """
@@ -588,7 +590,10 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
 
     The rows run in blocks of at most ``_ROW_BLOCK``: memberships and
     sorted consequents are computed once per block and shared by all its
-    slices.
+    slices.  A block runs its distinct slice levels, ``alpha`` first, at
+    most ``_ROW_BLOCK`` (row, slice) pairs per call: a single row runs all
+    its slices in one call, a bulk block one slice per call.  Each slice's
+    bounds equal those of a one-slice call bit for bit.
 
     Returns
     -------
@@ -599,6 +604,7 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     plane_values = [_alpha_value(p) for p in planes]
     if not plane_values:
         raise ValueError("plane stack must contain at least one alpha level")
+    levels = list(dict.fromkeys([alpha, *plane_values]))
     X = _checked_inputs(X, params)
     B = X.shape[0]
     # near-equal blocks rather than a short last one: a one-row block would
@@ -609,13 +615,11 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     lo, hi, weighted = np.empty(B), np.empty(B), np.zeros(B)
     for start, stop in zip(edges, edges[1:]):
         rows = slice(start, stop)
-        terms = batch_terms(X[rows], params)
-        lo[rows], hi[rows] = _slice_bounds(terms, alpha, params, start)
+        bounds = _block_bounds(batch_terms(X[rows], params), levels, params,
+                               start)
+        lo[rows], hi[rows] = bounds[alpha]
         for p in plane_values:
-            if p == alpha:
-                plo, phi_ = lo[rows], hi[rows]
-            else:
-                plo, phi_ = _slice_bounds(terms, p, params, start)
+            plo, phi_ = bounds[p]
             weighted[rows] += 0.5 * (plo + phi_) * p
     point = weighted / sum(plane_values)
     return lo, hi, point

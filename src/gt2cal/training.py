@@ -370,11 +370,6 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     return fwd.loss, grad
 
 
-def total_loss(X, y, raw: RawParams, cfg: TrainConfig) -> float:
-    """Training loss over a batch (forward only)."""
-    return _forward(X, y, raw, cfg).loss
-
-
 def piece_signature(X, y, raw: RawParams, cfg: TrainConfig) -> bytes:
     """Fingerprint of the active smooth piece of the loss surface.
 

@@ -8,15 +8,11 @@ from gt2cal.core import (
     AlphaLevel,
     FiringIntervals,
     ModelParams,
-    TypeReducedSet,
-    alpha_plane_center,
     batch_terms,
-    consequent_values,
-    firing_intervals,
-    gt2_aggregate,
+    consequent_batch,
+    firing_batch,
     km_reduce_batch,
     km_type_reduce,
-    pmf_eval,
     predict,
     pmf_batch,
     predict_batch,
@@ -87,20 +83,22 @@ class TestModelParams:
 class TestPrimaryMembership:
     def test_center_gives_one(self):
         m = single_rule_model(0.7, 0.3, 0.1, 0.1, 0.0, 0.0)
-        assert pmf_eval([0.7], m)[0, 0] == 1.0
+        assert pmf_batch(np.array([[0.7]]), m)[0, 0, 0] == 1.0
 
     def test_one_sigma_away(self):
         m = single_rule_model(0.7, 0.3, 0.1, 0.1, 0.0, 0.0)
-        assert pmf_eval([1.0], m)[0, 0] == pytest.approx(0.6065306597126334, abs=1e-12)
+        assert pmf_batch(np.array([[1.0]]), m)[0, 0, 0] == pytest.approx(
+            0.6065306597126334, abs=1e-12)
 
     def test_two_sigma_away(self):
         m = single_rule_model(0.7, 0.3, 0.1, 0.1, 0.0, 0.0)
-        assert pmf_eval([1.3], m)[0, 0] == pytest.approx(0.1353352832366127, abs=1e-12)
+        assert pmf_batch(np.array([[1.3]]), m)[0, 0, 0] == pytest.approx(
+            0.1353352832366127, abs=1e-12)
 
     def test_rejects_non_finite_input(self):
         m = single_rule_model(0.0, 1.0, 0.1, 0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            pmf_eval([np.nan], m)
+            pmf_batch(np.array([[np.nan]]), m)
 
 
 class TestSecondaryBounds:
@@ -132,12 +130,11 @@ class TestSecondaryBounds:
 class TestFiring:
     def test_single_dimension_equals_membership_bounds(self):
         m = single_rule_model(0.0, 1.0, 0.1, 0.1, 0.0, 0.0)
-        x = np.array([0.5])
-        gamma = pmf_eval(x, m)
-        lower, upper = smf_bounds(gamma, 0.2, m)
-        f = firing_intervals(x, 0.2, m)
-        assert f.lower[0] == pytest.approx(lower[0, 0], rel=1e-15)
-        assert f.upper[0] == pytest.approx(upper[0, 0], rel=1e-15)
+        X = np.array([[0.5]])
+        lower, upper = smf_bounds(pmf_batch(X, m), 0.2, m)
+        f_lower, f_upper = firing_batch(X, 0.2, m)
+        assert f_lower[0, 0] == pytest.approx(lower[0, 0, 0], rel=1e-15)
+        assert f_upper[0, 0] == pytest.approx(upper[0, 0, 0], rel=1e-15)
 
     def test_product_tnorm_two_dims(self):
         # memberships 0.5 in each of two dimensions fire at 0.25
@@ -147,8 +144,8 @@ class TestFiring:
             sigma_l=np.array([1e-9, 1e-9]), sigma_r=np.array([1e-9, 1e-9]),
             a=np.zeros((1, 2)), a0=np.zeros(1),
         )
-        f = firing_intervals(np.array([1.0, 1.0]), 1.0, m)
-        assert f.upper[0] == pytest.approx(0.25, abs=1e-12)
+        _, f_upper = firing_batch(np.array([[1.0, 1.0]]), 1.0, m)
+        assert f_upper[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_bottom_slice_lower_firing(self):
         m = ModelParams(
@@ -157,14 +154,14 @@ class TestFiring:
             a=np.zeros((1, 2)), a0=np.zeros(1),
         )
         # primary grade 0.5 per dimension at x = sqrt(2 ln 2) sigma
-        x = np.full(2, np.sqrt(2 * np.log(2)))
-        f = firing_intervals(x, 0.01, m)
-        assert f.lower[0] == pytest.approx(0.19651457412297073 ** 2, abs=1e-9)
+        X = np.full((1, 2), np.sqrt(2 * np.log(2)))
+        f_lower, _ = firing_batch(X, 0.01, m)
+        assert f_lower[0, 0] == pytest.approx(0.19651457412297073 ** 2, abs=1e-9)
 
     def test_degenerate_firing_raises(self):
         m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
         with pytest.raises(DegenerateFiringError):
-            firing_intervals(np.array([100.0]), 1.0, m)
+            firing_batch(np.array([[100.0]]), 1.0, m)
 
 
 class TestProductTnorm:
@@ -200,16 +197,17 @@ class TestProductTnorm:
 class TestConsequents:
     def test_constant_consequent(self):
         m = single_rule_model(0.0, 1.0, 0.1, 0.1, 0.0, 3.0)
-        assert consequent_values([1.7], m)[0] == 3.0
+        assert consequent_batch(np.array([[1.7]]), m)[0, 0] == 3.0
 
     def test_linear_consequent(self):
         m = single_rule_model(0.0, 1.0, 0.1, 0.1, 2.0, 1.0)
-        assert consequent_values([0.5], m)[0] == pytest.approx(2.0, abs=1e-15)
+        assert consequent_batch(np.array([[0.5]]), m)[0, 0] == pytest.approx(
+            2.0, abs=1e-15)
 
     def test_intercept_only_at_origin(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, n_rules=3, n_inputs=2)
-        np.testing.assert_allclose(consequent_values(np.zeros(2), m), m.a0)
+        np.testing.assert_allclose(consequent_batch(np.zeros((1, 2)), m)[0], m.a0)
 
 
 class TestKarnikMendel:
@@ -288,6 +286,43 @@ class TestKarnikMendel:
             np.testing.assert_allclose(bound, (w * y).sum(axis=1) / den,
                                        rtol=1e-12)
 
+    def test_consequents_near_the_float_limit(self):
+        # the weighted sums of 2 x 1e308 overflow unless scaled first
+        m = ModelParams(c=np.zeros((2, 1)), sigma=np.ones((2, 1)),
+                        sigma_l=np.full(1, 1e-20), sigma_r=np.full(1, 1e-20),
+                        a=np.zeros((2, 1)), a0=np.array([1e308, 1e308]))
+        lo, hi = trs_batch(np.zeros((1, 1)), 0.37, m)
+        assert lo[0] == hi[0] == 1e308
+        # unequal firings: each bound is a weighted average of 1e308
+        wide = ModelParams(c=m.c, sigma=m.sigma, sigma_l=np.full(1, 0.1),
+                           sigma_r=np.full(1, 0.1), a=m.a, a0=m.a0)
+        lo, hi = trs_batch(np.zeros((1, 1)), 0.37, wide)
+        np.testing.assert_allclose([lo[0], hi[0]], 1e308, rtol=1e-15, atol=0)
+
+    def test_scaled_row_leaves_other_rows_of_the_batch_alone(self, rng):
+        fu = 0.5 + 0.5 * rng.random((6, 3))
+        fl = fu * rng.random((6, 3))
+        y = rng.normal(size=(6, 3))
+        y[2] = [5e307, 1e308, 1e308]
+        lo, hi = km_reduce_batch(fl, fu, y)
+        assert np.all(np.isfinite([lo[2], hi[2]]))
+        assert 5e307 <= lo[2] <= hi[2] <= 1e308
+        for i in (0, 1, 3, 4, 5):
+            ref_lo, ref_hi = km_reduce_batch(fl[i:i + 1], fu[i:i + 1], y[i:i + 1])
+            assert (lo[i], hi[i]) == (ref_lo[0], ref_hi[0])
+
+    def test_power_of_two_consequents_scale_bounds_exactly(self, rng):
+        m = random_model(rng, n_rules=5, n_inputs=2)
+        X = rng.normal(size=(200, 2))
+        big = ModelParams(c=m.c, sigma=m.sigma, sigma_l=m.sigma_l,
+                          sigma_r=m.sigma_r, a=np.ldexp(m.a, 1015),
+                          a0=np.ldexp(m.a0, 1015))
+        for alpha in (0.01, 0.37, 1.0):
+            lo, hi = trs_batch(X, alpha, m)
+            big_lo, big_hi = trs_batch(X, alpha, big)
+            np.testing.assert_array_equal(big_lo, np.ldexp(lo, 1015))
+            np.testing.assert_array_equal(big_hi, np.ldexp(hi, 1015))
+
     def test_batch_ordering_is_preserved(self, rng):
         fl = rng.random((8, 5)) * 0.5
         fu = fl + rng.random((8, 5)) * 0.5
@@ -299,30 +334,74 @@ class TestKarnikMendel:
             assert hi[b] == pytest.approx(trs.hi, rel=1e-12, abs=1e-13)
 
 
+def one_input_model(c, a0, sigma_l, sigma_r):
+    """Rules on one input with unit primary deviation and constant
+    consequents ``a0``."""
+    P = len(a0)
+    return ModelParams(
+        c=np.asarray(c, dtype=float)[:, None], sigma=np.ones((P, 1)),
+        sigma_l=np.array([sigma_l]), sigma_r=np.array([sigma_r]),
+        a=np.zeros((P, 1)), a0=np.asarray(a0, dtype=float),
+    )
+
+
 class TestAggregation:
+    """The point of ``predict_batch``: slice centers weighted by alpha."""
+
+    X0 = np.zeros((1, 1))
+
     def test_midpoint(self):
-        assert alpha_plane_center(TypeReducedSet(1 / 3, 2 / 3)) == pytest.approx(0.5)
-        assert alpha_plane_center(TypeReducedSet(-1.0, 1.0)) == 0.0
-        assert alpha_plane_center(TypeReducedSet(2.5, 2.5)) == 2.5
+        # one plane at 0.5, a power of two, so the point is the midpoint
+        # (lo + hi) / 2 bit for bit; at x = c every upper grade is 1
+        half = 0.5 / spread_scale(0.5)  # lower grade 1 - k*sigma_l = 0.5
+        m = one_input_model([0.0, 0.0], [0.0, 1.0], half, 1.0)
+        lo, hi, point = predict_batch(self.X0, 0.5, m, (0.5,))
+        assert lo[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert hi[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert point[0] == 0.5 * (lo[0] + hi[0]) == pytest.approx(0.5)
+        # lower grades clamp to 0, so [lo, hi] spans both consequents
+        m = one_input_model([0.0, 0.0], [-1.0, 1.0], 10.0, 1.0)
+        lo, hi, point = predict_batch(self.X0, 0.5, m, (0.5,))
+        assert (lo[0], hi[0], point[0]) == (-1.0, 1.0, 0.0)
+        # negligible spreads: lower = upper = 1 and the interval is a point
+        m = one_input_model([0.0], [2.5], 1e-20, 1e-20)
+        lo, hi, point = predict_batch(self.X0, 0.5, m, (0.5,))
+        assert (lo[0], hi[0], point[0]) == (2.5, 2.5, 2.5)
 
     def test_single_plane_passthrough(self):
-        assert gt2_aggregate([3.7], [0.01]) == pytest.approx(3.7)
+        m = one_input_model([0.0], [3.7], 0.1, 0.1)
+        _, _, point = predict_batch(self.X0, 0.01, m, (0.01,))
+        assert point[0] == pytest.approx(3.7)
 
     def test_two_plane_weighting(self):
-        assert gt2_aggregate([2.0, 4.0], [0.5, 1.0]) == pytest.approx(10.0 / 3.0, abs=1e-12)
+        # rule 2 sits 30 deviations away: at alpha = 1 only rule 1 fires
+        # (center 4); at alpha = 0.5 both fire over [0, 1] (center 2)
+        m = one_input_model([0.0, 30.0], [4.0, 0.0], 10.0, 10.0)
+        for alpha, center in ((0.5, 2.0), (1.0, 4.0)):
+            lo, hi = trs_batch(self.X0, alpha, m)
+            assert 0.5 * (lo[0] + hi[0]) == pytest.approx(center, abs=1e-12)
+        _, _, point = predict_batch(self.X0, 0.5, m, (0.5, 1.0))
+        assert point[0] == pytest.approx(10.0 / 3.0, abs=1e-12)
 
     def test_constant_centers(self):
-        assert gt2_aggregate([1.5] * 11, list(np.linspace(0.01, 1, 11))) == pytest.approx(1.5)
+        m = one_input_model([0.0], [1.5], 0.1, 0.1)
+        planes = list(np.linspace(0.01, 1, 11))
+        _, _, point = predict_batch(self.X0, 0.5, m, planes)
+        assert point[0] == pytest.approx(1.5)
 
     def test_empty_planes_rejected(self):
+        m = one_input_model([0.0], [1.5], 0.1, 0.1)
         with pytest.raises(ValueError):
-            gt2_aggregate([], [])
+            predict_batch(self.X0, 0.5, m, [])
 
     def test_output_within_center_range(self, rng):
-        centers = rng.normal(size=6)
-        alphas = 0.01 + 0.99 * rng.random(6)
-        out = gt2_aggregate(centers, alphas)
-        assert centers.min() - 1e-12 <= out <= centers.max() + 1e-12
+        m = random_model(rng, n_rules=5, n_inputs=2)
+        X = rng.normal(size=(20, 2))
+        alphas = list(0.01 + 0.99 * rng.random(6))
+        centers = np.array([0.5 * np.add(*trs_batch(X, a, m)) for a in alphas])
+        _, _, point = predict_batch(X, alphas[0], m, alphas)
+        assert np.all(centers.min(axis=0) - 1e-12 <= point)
+        assert np.all(point <= centers.max(axis=0) + 1e-12)
 
 
 class TestPredict:
@@ -339,7 +418,7 @@ class TestPredict:
         x = rng.normal(size=2)
         for alpha in (0.01, 0.5, 1.0):
             lo, hi, point = predict(x, alpha, m)
-            expected = float(consequent_values(x, m)[0])
+            expected = float(consequent_batch(x[None, :], m)[0, 0])
             assert lo == pytest.approx(expected, abs=1e-12)
             assert hi == pytest.approx(expected, abs=1e-12)
             assert point == pytest.approx(expected, abs=1e-12)
@@ -365,7 +444,7 @@ class TestPredict:
         for _ in range(20):
             m = random_model(rng, n_rules=3, n_inputs=3)
             x = rng.normal(size=3)
-            gamma = pmf_eval(x, m)
+            gamma = pmf_batch(x[None, :], m)[0]
             for alpha in (0.01, 0.3, 0.77, 1.0):
                 lower, upper = smf_bounds(gamma, alpha, m)
                 assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
@@ -535,3 +614,89 @@ class TestPerRowAlpha:
         if alphas.shape != (4,):  # a length only the batch can refuse
             with pytest.raises(ValueError):
                 spread_scale(alphas)
+
+
+def per_plane_reference(X, alpha, m, planes):
+    """``predict_batch`` from one standalone ``trs_batch`` per slice."""
+    lo, hi = trs_batch(X, alpha, m)
+    weighted = np.zeros(len(X))
+    for p in planes:
+        plo, phi_ = trs_batch(X, p, m)
+        weighted += 0.5 * (plo + phi_) * p
+    return lo, hi, weighted / sum(planes)
+
+
+class TestStackedSlices:
+    """A small block runs several slices in one per-row-alpha call; every
+    output still equals the per-plane reference bit for bit."""
+
+    # group boundaries for 12 slice levels: 1024 // b slices per call
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 85, 86, 100, 341, 342,
+                                        512, 513])
+    def test_equals_per_plane_reference(self, rng, n_rows):
+        m = random_model(rng, n_rules=10, n_inputs=4)
+        X = rng.normal(size=(n_rows, 4))
+        got = predict_batch(X, 0.37, m)
+        for g, w in zip(got, per_plane_reference(X, 0.37, m, DEFAULT_PLANES)):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha, planes", [
+        (0.5, DEFAULT_PLANES),         # alpha is one of the planes
+        (0.37, (0.2, 0.5, 0.9)),       # alpha is none of them
+        (0.3, (0.2, 0.5, 0.2, 0.9)),   # a duplicated plane
+        (0.3, (0.7,)),                 # a single plane
+        (0.7, (0.7,)),                 # a single plane, at alpha
+        (0.5, (0.5, 1.0)),
+    ])
+    @pytest.mark.parametrize("n_rows", [1, 7, 86, 342])
+    def test_plane_stacks_equal_per_plane_reference(self, rng, alpha, planes,
+                                                    n_rows):
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        X = rng.normal(size=(n_rows, 3))
+        got = predict_batch(X, alpha, m, planes)
+        for g, w in zip(got, per_plane_reference(X, alpha, m, planes)):
+            np.testing.assert_array_equal(g, w)
+
+    def _count_slices(self, monkeypatch):
+        calls = []
+        real = core.slice_forward
+
+        def counting(terms, alpha, params, first_row=0):
+            calls.append(alpha)
+            return real(terms, alpha, params, first_row)
+
+        monkeypatch.setattr(core, "slice_forward", counting)
+        return calls
+
+    def test_one_row_predict_makes_one_slice_call(self, rng, monkeypatch):
+        m = random_model(rng, n_rules=10, n_inputs=4)
+        calls = self._count_slices(monkeypatch)
+        predict(rng.normal(size=4), 0.37, m)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [0.37, *DEFAULT_PLANES])
+
+    def test_bulk_block_runs_one_level_per_call(self, rng, monkeypatch):
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        calls = self._count_slices(monkeypatch)
+        predict_batch(rng.normal(size=(_ROW_BLOCK, 2)), 0.37, m)
+        assert calls == [0.37, *DEFAULT_PLANES]
+
+    def test_empty_batch(self, rng):
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        out = predict_batch(np.zeros((0, 2)), 0.37, m)
+        assert len(out) == 3
+        for a in out:
+            assert a.shape == (0,)
+
+    def test_degenerate_row_named_by_its_index(self):
+        # row 3 is far outside the one rule: its upper firing is zero only
+        # at alpha = 1, the last of the 12 stacked slices
+        m = single_rule_model(0.0, 0.01, 0.1, 0.1, 0.0, 0.0)
+        X = np.zeros((5, 1))
+        X[3] = 100.0
+        assert trs_batch(X, 0.9, m)[0].shape == (5,)
+        with pytest.raises(DegenerateFiringError) as want:
+            trs_batch(X, 1.0, m)
+        with pytest.raises(DegenerateFiringError, match=r"input row 3 ") as got:
+            predict_batch(X, 0.37, m)
+        assert str(got.value) == str(want.value)

@@ -16,7 +16,6 @@ from gt2cal.training import (
     piece_signature,
     pinball_pair_loss,
     softplus,
-    total_loss,
     train,
 )
 
@@ -63,8 +62,8 @@ def gradient_check_instance(seed, h=1e-5):
         if (piece_signature(X, y, rp, cfg) != sig0
                 or piece_signature(X, y, rm, cfg) != sig0):
             return None
-        numeric[i] = (total_loss(X, y, rp, cfg)
-                      - total_loss(X, y, rm, cfg)) / (2.0 * h)
+        numeric[i] = (_forward(X, y, rp, cfg).loss
+                      - _forward(X, y, rm, cfg).loss) / (2.0 * h)
 
     _, grad = loss_and_grad(X, y, raw, cfg)
     analytic = grad.to_vector()
@@ -155,7 +154,7 @@ class TestTotalLoss:
         cfg = TrainConfig(n_rules=1)
         X = np.linspace(-1, 1, 7)[:, None]
         y = 2.0 * X[:, 0]
-        assert total_loss(X, y, raw, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert _forward(X, y, raw, cfg).loss == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample_equals_its_loss(self):
         raw = random_raw(11)
@@ -163,15 +162,15 @@ class TestTotalLoss:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(2, 2))
         y = rng.normal(size=2)
-        l0 = total_loss(X[:1], y[:1], raw, cfg)
-        l1 = total_loss(X[1:], y[1:], raw, cfg)
-        both = total_loss(X, y, raw, cfg)
+        l0 = _forward(X[:1], y[:1], raw, cfg).loss
+        l1 = _forward(X[1:], y[1:], raw, cfg).loss
+        both = _forward(X, y, raw, cfg).loss
         assert both == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         raw = random_raw(1)
         with pytest.raises(ValueError):
-            total_loss(np.zeros((0, 2)), np.zeros(0), raw, TrainConfig(n_rules=3))
+            _forward(np.zeros((0, 2)), np.zeros(0), raw, TrainConfig(n_rules=3))
 
     def test_degenerate_firing_reports_sample_index(self):
         raw = random_raw(21)
@@ -181,7 +180,7 @@ class TestTotalLoss:
         y = np.zeros(3)
         from gt2cal.errors import DegenerateFiringError
         with pytest.raises(DegenerateFiringError, match="row 1"):
-            total_loss(X, y, raw, TrainConfig(n_rules=3))
+            _forward(X, y, raw, TrainConfig(n_rules=3)).loss
 
 
 class TestGradient:
@@ -224,7 +223,8 @@ class TestGradient:
             if (piece_signature(X, y, rp, cfg) != sig0
                     or piece_signature(X, y, rm, cfg) != sig0):
                 continue
-            num = (total_loss(X, y, rp, cfg) - total_loss(X, y, rm, cfg)) / (2 * h)
+            num = (_forward(X, y, rp, cfg).loss
+                   - _forward(X, y, rm, cfg).loss) / (2 * h)
             denom = max(abs(analytic[i]), abs(num), 1e-6)
             stable_errs.append(abs(analytic[i] - num) / denom)
         assert len(stable_errs) >= 8, "too few switch-stable coordinates to judge"
