@@ -4,9 +4,12 @@
 One ``name sha256`` line per output: trained parameters, loss and gradient,
 piece signatures, batched prediction over one and several row blocks and
 at every slice grouping, single-row prediction, search calibration,
-the lookup table, and one-slice bounds and coverage, all on seeded
-synthetic data (4 inputs, 10 rules) made here with numpy alone.  Run it on two commits and diff the outputs:
-equal lines mean bit-identical results.
+the lookup table, one-slice bounds and coverage, and the Karnik-Mendel
+switch counts and weight totals of one slice (also for a 1-rule model,
+a 2-rule model with tied consequents and more than 1024 rows), all on
+seeded synthetic data (4 inputs, 10 rules) made here with numpy alone.
+Run it on two commits and diff the outputs: equal lines mean
+bit-identical results.
 
 Usage: python scripts/output_digest.py
 """
@@ -26,7 +29,14 @@ from gt2cal.calibration import (  # noqa: E402
     calibrate_search,
     coverage_at_alpha,
 )
-from gt2cal.core import predict, predict_batch, trs_batch  # noqa: E402
+from gt2cal.core import (  # noqa: E402
+    ModelParams,
+    batch_terms,
+    predict,
+    predict_batch,
+    slice_forward,
+    trs_batch,
+)
 from gt2cal.training import (  # noqa: E402
     TrainConfig,
     loss_and_grad,
@@ -113,6 +123,27 @@ def main():
         emit(f"trs_batch.alpha{alpha}", *trs_batch(Xc, alpha, params))
         emit(f"coverage_at_alpha.alpha{alpha}",
              [coverage_at_alpha(params, Xc, yc, alpha)])
+
+    p = params
+    models = {
+        "": p,
+        ".1-rule": ModelParams(c=p.c[:1], sigma=p.sigma[:1], sigma_l=p.sigma_l,
+                               sigma_r=p.sigma_r, a=p.a[:1], a0=p.a0[:1]),
+        # both rules share the first rule's consequent: every row ties
+        ".2-rule-tied": ModelParams(c=p.c[:2], sigma=p.sigma[:2],
+                                    sigma_l=p.sigma_l, sigma_r=p.sigma_r,
+                                    a=p.a[[0, 0]], a0=p.a0[[0, 0]]),
+    }
+    for name, m in models.items():
+        terms = batch_terms(Xc, m)
+        for alpha in (0.01, 0.37, 1.0):
+            s = slice_forward(terms, alpha, m)
+            emit(f"slice_forward{name}.alpha{alpha}", s.lo, s.hi, s.km.L,
+                 s.km.R, s.km.den_lo, s.km.den_hi)
+    # 1200 rows: more than one Karnik-Mendel row block
+    s = slice_forward(batch_terms(np.vstack([X, Xc]), params), 0.37, params)
+    emit("slice_forward.all-rows.alpha0.37", s.lo, s.hi, s.km.L, s.km.R,
+         s.km.den_lo, s.km.den_hi)
 
 
 if __name__ == "__main__":

@@ -381,6 +381,8 @@ def calibrate_search(params: ModelParams, X, y,
 
     An unset tolerance defaults to max(0.005, 1/Q): empirical coverage on Q
     points moves in steps of 1/Q, so a finer tolerance is unreachable.
+    The search often probes an alpha again (after a move, the opposite
+    probe is the previous point), so each distinct alpha runs one slice.
     """
     if cfg.epsilon is None:
         q = np.size(y)
@@ -388,4 +390,11 @@ def calibrate_search(params: ModelParams, X, y,
             raise ValueError("calibration set is empty")
         cfg = replace(cfg, epsilon=max(0.005, 1.0 / q))
     covered = _coverage_oracle(params, X, y)
-    return search_alpha(lambda alpha: float(np.mean(covered(alpha))), cfg)
+    seen = {}
+
+    def coverage(alpha: float) -> float:
+        if alpha not in seen:
+            seen[alpha] = float(np.mean(covered(alpha)))
+        return seen[alpha]
+
+    return search_alpha(coverage, cfg)

@@ -38,7 +38,8 @@ _LOG_FLOOR = 1e-300
 
 #: Most rows, or stacked (row, slice) pairs, one slice call of
 #: :func:`predict_batch` holds, so that each (rows, P, M) slice temporary
-#: stays within L2 cache for typical rule bases.
+#: stays within L2 cache for typical rule bases; also the most rows one
+#: Karnik-Mendel workspace holds.
 _ROW_BLOCK = 1024
 
 
@@ -356,65 +357,104 @@ class KMInternals:
     den_hi: np.ndarray
 
 
-def _prefix(a: np.ndarray) -> np.ndarray:
-    """Row-wise cumulative sum with a leading zero column, shape (B, P+1)."""
-    B, P = a.shape
-    out = np.zeros((B, P + 1), dtype=float)
-    np.cumsum(a, axis=1, out=out[:, 1:])
-    return out
+#: Fill of a zero-weight switch candidate, per end: never the extremum.
+_KM_FILL = np.array([np.inf, -np.inf])[:, None, None]
 
 
-def _suffix(a: np.ndarray) -> np.ndarray:
-    """Row-wise reverse cumulative sum, out[:, k] = sum over p >= k.
+def _row_blocks(n: int) -> list[slice]:
+    """Near-equal blocks of at most ``_ROW_BLOCK`` rows that cover ``n`` rows.
 
-    Summed directly rather than as total-minus-prefix: the subtraction
-    cancels catastrophically when magnitudes span many orders.
+    Near-equal rather than ending in a short block: a one-row block of
+    :func:`predict_batch` would take numpy's matrix-vector product, whose
+    consequents can differ from the matrix-matrix product's in the last bit.
     """
-    B, P = a.shape
-    out = np.zeros((B, P + 1), dtype=float)
-    out[:, :P] = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-    return out
+    k = max(1, -(-n // _ROW_BLOCK))
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _km_end(first, rest, ys, minimize):
-    """One end of the reduced interval, from rules sorted by consequent.
+def _overflow_exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray | None:
+    """Per row, the power of two that scales its largest |value| into
+    [0.5, 1) if that is 2**512 or more, and 0 otherwise.
 
-    Switch candidate k in 0..P weights the k smallest consequents ``ys`` by
-    ``first`` and the others by ``rest``.  The extremum of the weighted
-    average is attained at one of these candidates, so scanning all of them
-    is exact, also when firings are exactly zero or consequents tie;
-    zero-weight candidates are skipped.  Returns the bound, the switch
-    count and the weight total at that switch, each (B,).
+    ``low`` and ``high`` are each row's smallest and largest value.  Sums
+    of a few values below 2**512 cannot overflow, so ``None`` stands for
+    "no row needs scaling" and costs one ``min`` and one ``max``.
+    Scaling by a power of two is exact unless a scaled value is subnormal.
     """
-    num = _prefix(first * ys) + _suffix(rest * ys)
-    den = _prefix(first) + _suffix(rest)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
-    fill = np.inf if minimize else -np.inf
-    vals = np.where(den > 0.0, vals, fill)
-    k = vals.argmin(axis=1) if minimize else vals.argmax(axis=1)
-    rows = np.arange(vals.shape[0])
-    return vals[rows, k], k, den[rows, k]
+    if max(-low.min(initial=0.0), high.max(initial=0.0)) < 2.0 ** 512:
+        return None
+    _, exp = np.frexp(np.maximum(-low, high))
+    exp[exp <= 512] = 0
+    return exp
 
 
 def _km_sorted(fls, fus, ys, order):
     """Both ends of the reduced interval, from rules sorted by consequent.
 
     ``fls``, ``fus`` and ``ys`` are (B, P) and already in the order
-    ``order``; returns ``(lo, hi, KMInternals)``.  Rows whose largest |y|
-    is 2**512 or more are scaled by a power of two into [0.5, 1) for the
-    sums, which then cannot overflow; that is exact unless a scaled value
-    is subnormal.  Smaller rows cannot overflow and skip the cost.
+    ``order``; returns ``(lo, hi, KMInternals)``.
+
+    Switch candidate k in 0..P of the lower end weights the k smallest
+    consequents by upper firing and the others by lower firing; the upper
+    end swaps the two firings.  Each extremum of the weighted average is
+    attained at one of these candidates, so scanning all of them is exact,
+    also when firings are exactly zero or consequents tie; zero-weight
+    candidates are skipped.
+
+    A candidate's sums are a prefix sum over the first k rules plus a
+    suffix sum over the rest, each summed from its outer end (the suffix
+    directly, not as total minus prefix, which cancels catastrophically
+    when magnitudes span many orders).  All eight running sums, prefix and
+    suffix of fu*y, fl*y, fu and fl, advance together in one workspace of
+    P - 1 in-place column adds: numpy's cumsum pays a fixed cost per row,
+    a column add over the whole batch does not.  Each sum adds in cumsum's
+    order, so the result is the same to the bit.
+
+    Rows whose largest |y| is 2**512 or more are scaled by a power of two
+    for the sums (:func:`_overflow_exponents`), which then cannot overflow.
+    More than ``_ROW_BLOCK`` rows run in row blocks: the workspace of a
+    whole large batch, such as a training epoch's, would be the largest
+    temporary of its slice and raise peak memory.  Every row's results are
+    the same either way.
     """
+    if len(ys) > _ROW_BLOCK:
+        parts = [_km_sorted(fls[r], fus[r], ys[r], None)
+                 for r in _row_blocks(len(ys))]
+        lo, hi = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+        return lo, hi, KMInternals(order=order, **{
+            f: np.concatenate([getattr(p[2], f) for p in parts])
+            for f in ("L", "R", "den_lo", "den_hi")})
     # a sorted row's largest |y| is at one of its ends
-    scaled = max(-ys[:, 0].min(initial=0.0),
-                 ys[:, -1].max(initial=0.0)) >= 2.0 ** 512
-    if scaled:
-        _, exp = np.frexp(np.maximum(-ys[:, 0], ys[:, -1]))
-        exp[exp <= 512] = 0
+    exp = _overflow_exponents(ys[:, 0], ys[:, -1])
+    if exp is not None:
         ys = np.ldexp(ys, -exp[:, None])
-    lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
-    hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
+    B, P = ys.shape
+    # ws[0, :, :, k]: sums over the first k rules of (fu*y, fl*y, fu, fl);
+    # ws[1, :, :, j]: sums over the last j rules of (fl*y, fu*y, fl, fu)
+    ws = np.empty((2, 4, B, P + 1))
+    ws[:, :, :, 0] = 0.0
+    np.multiply(fus, ys, out=ws[0, 0, :, 1:])
+    np.multiply(fls, ys, out=ws[0, 1, :, 1:])
+    ws[0, 2, :, 1:] = fus
+    ws[0, 3, :, 1:] = fls
+    # the suffix half: the prefix half's columns reversed, with fu and fl
+    # swapped in each pair
+    pairs = ws.reshape(2, 2, 2, B, P + 1)
+    pairs[1, :, :, :, 1:] = pairs[0, :, ::-1, :, :0:-1]
+    for j in range(2, P + 1):
+        ws[..., j] += ws[..., j - 1]
+    # candidate k: prefix k plus suffix P - k, giving the numerators and
+    # weight totals of (lo, hi)
+    ws[0] += ws[1, ..., ::-1]
+    vals, den = ws[0, :2], ws[0, 2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(vals, den, out=vals)
+    np.copyto(vals, _KM_FILL, where=~(den > 0.0))
+    L, R = vals[0].argmin(axis=1), vals[1].argmax(axis=1)
+    # one gather: row 0 holds both ends' values, row 1 their weight totals
+    at = np.stack((L, R)) + np.arange(2 * B).reshape(2, B) * (P + 1)
+    (lo, hi), (den_lo, den_hi) = ws[0].reshape(2, -1)[:, at]
 
     # Degenerate intervals can invert by an ulp through independent rounding
     # of the two bounds; pinch them back together.
@@ -423,7 +463,7 @@ def _km_sorted(fls, fus, ys, order):
         mid = 0.5 * (lo[inverted] + hi[inverted])
         lo[inverted] = mid
         hi[inverted] = mid
-    if scaled:
+    if exp is not None:
         lo, hi = np.ldexp(lo, exp), np.ldexp(hi, exp)
     return lo, hi, KMInternals(order=order, L=L, R=R,
                                den_lo=den_lo, den_hi=den_hi)
@@ -583,6 +623,29 @@ def _block_bounds(terms: BatchTerms, levels: list[float], params: ModelParams,
     return bounds
 
 
+def _plane_point(bounds: np.ndarray, weights: np.ndarray,
+                 total: float) -> np.ndarray:
+    """Per row, the sum over planes of ``0.5 * (lo + hi) * p``, over ``total``.
+
+    ``bounds`` is (planes, 2, b), each plane's ``(lo, hi)``, and ``weights``
+    the (planes, 1) levels.  The terms add in plane order, starting from
+    0.0, as a loop over planes does.  A row whose largest |bound| is 2**512
+    or more is scaled by a power of two first, so that its sum cannot
+    overflow, and its point is scaled back after.
+    """
+    plo, phi = bounds[:, 0], bounds[:, 1]
+    # lo <= hi, so a row's largest |bound| is -min(lo) or max(hi)
+    exp = _overflow_exponents(plo.min(axis=0), phi.max(axis=0))
+    if exp is not None:
+        plo, phi = np.ldexp(plo, -exp), np.ldexp(phi, -exp)
+    terms = np.empty((len(weights) + 1, plo.shape[1]))
+    terms[0] = 0.0
+    np.multiply(0.5 * (plo + phi), weights, out=terms[1:])
+    # cumsum adds row after row; a sum over the axis may pair rows up
+    point = np.cumsum(terms, axis=0)[-1] / total
+    return point if exp is None else np.ldexp(point, exp)
+
+
 def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
                   planes: Sequence[float] = DEFAULT_PLANES):
     """
@@ -601,27 +664,25 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     requested slice; ``point`` aggregates slice centers over ``planes``.
     """
     alpha = _alpha_value(alpha)
-    plane_values = [_alpha_value(p) for p in planes]
+    plane_values = [float(p) for p in planes]
+    # NaN fails the comparison too
+    if not all(ALPHA_MIN <= p <= 1.0 for p in plane_values):
+        for p in plane_values:
+            _alpha_value(p)  # raises, naming the first bad level
     if not plane_values:
         raise ValueError("plane stack must contain at least one alpha level")
     levels = list(dict.fromkeys([alpha, *plane_values]))
+    weights = np.array(plane_values)[:, None]
+    total = sum(plane_values)
     X = _checked_inputs(X, params)
     B = X.shape[0]
-    # near-equal blocks rather than a short last one: a one-row block would
-    # take numpy's matrix-vector product, whose consequents can differ from
-    # the matrix-matrix product's in the last bit
-    n_blocks = max(1, -(-B // _ROW_BLOCK))
-    edges = [B * i // n_blocks for i in range(n_blocks + 1)]
-    lo, hi, weighted = np.empty(B), np.empty(B), np.zeros(B)
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
+    lo, hi, point = np.empty(B), np.empty(B), np.empty(B)
+    for rows in _row_blocks(B):
         bounds = _block_bounds(batch_terms(X[rows], params), levels, params,
-                               start)
+                               rows.start)
         lo[rows], hi[rows] = bounds[alpha]
-        for p in plane_values:
-            plo, phi_ = bounds[p]
-            weighted[rows] += 0.5 * (plo + phi_) * p
-    point = weighted / sum(plane_values)
+        point[rows] = _plane_point(np.array([bounds[p] for p in plane_values]),
+                                   weights, total)
     return lo, hi, point
 
 

@@ -75,3 +75,72 @@ def product_tnorm_log(mu):
     log stays finite, sum the logs with ``np.sum`` and exponentiate.
     """
     return np.exp(np.sum(np.log(np.maximum(mu, 1e-300)), axis=-1))
+
+
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """Row-wise cumulative sum with a leading zero column, shape (B, P+1)."""
+    B, P = a.shape
+    out = np.zeros((B, P + 1), dtype=float)
+    np.cumsum(a, axis=1, out=out[:, 1:])
+    return out
+
+
+def _suffix(a: np.ndarray) -> np.ndarray:
+    """Row-wise reverse cumulative sum, out[:, k] = sum over p >= k.
+
+    Summed directly rather than as total-minus-prefix: the subtraction
+    cancels catastrophically when magnitudes span many orders.
+    """
+    B, P = a.shape
+    out = np.zeros((B, P + 1), dtype=float)
+    out[:, :P] = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+    return out
+
+
+def _km_end(first, rest, ys, minimize):
+    """One end of the reduced interval, from rules sorted by consequent.
+
+    Switch candidate k in 0..P weights the k smallest consequents ``ys`` by
+    ``first`` and the others by ``rest``.  The extremum of the weighted
+    average is attained at one of these candidates, so scanning all of them
+    is exact, also when firings are exactly zero or consequents tie;
+    zero-weight candidates are skipped.  Returns the bound, the switch
+    count and the weight total at that switch, each (B,).
+    """
+    num = _prefix(first * ys) + _suffix(rest * ys)
+    den = _prefix(first) + _suffix(rest)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = num / den
+    fill = np.inf if minimize else -np.inf
+    vals = np.where(den > 0.0, vals, fill)
+    k = vals.argmin(axis=1) if minimize else vals.argmax(axis=1)
+    rows = np.arange(vals.shape[0])
+    return vals[rows, k], k, den[rows, k]
+
+
+def km_sorted_cumsum(fls, fus, ys):
+    """Both reduced-interval ends by one ``np.cumsum`` per running sum.
+
+    The bit-identity reference for the package's one-pass reduction:
+    ``fls``, ``fus`` and ``ys`` are (B, P) rows already sorted by
+    consequent.  Each end scans its switch candidates with ``_km_end``;
+    rows whose largest |y| is 2**512 or more are scaled by a power of two
+    into [0.5, 1) for the sums, and inverted intervals are pinched to their
+    midpoint.  Returns ``(lo, hi, L, R, den_lo, den_hi)``.
+    """
+    scaled = max(-ys[:, 0].min(initial=0.0),
+                 ys[:, -1].max(initial=0.0)) >= 2.0 ** 512
+    if scaled:
+        _, exp = np.frexp(np.maximum(-ys[:, 0], ys[:, -1]))
+        exp[exp <= 512] = 0
+        ys = np.ldexp(ys, -exp[:, None])
+    lo, L, den_lo = _km_end(fus, fls, ys, minimize=True)
+    hi, R, den_hi = _km_end(fls, fus, ys, minimize=False)
+    inverted = lo > hi
+    if np.any(inverted):
+        mid = 0.5 * (lo[inverted] + hi[inverted])
+        lo[inverted] = mid
+        hi[inverted] = mid
+    if scaled:
+        lo, hi = np.ldexp(lo, exp), np.ldexp(hi, exp)
+    return lo, hi, L, R, den_lo, den_hi

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gt2cal.calibration
 import gt2cal.core
 from gt2cal.calibration import (
     CalibrationTable,
@@ -360,6 +361,30 @@ class TestCoverageOracle:
         eps = replace(cfg, epsilon=max(0.005, 1.0 / y.size))
         want = search_alpha(lambda a: coverage_at_alpha(m, X, y, a), eps)
         assert calibrate_search(m, X, y, cfg) == want
+
+    @pytest.mark.parametrize("phi_d", [0.3, 0.6, 0.9])
+    def test_search_runs_one_slice_per_distinct_alpha(self, calib, phi_d,
+                                                      monkeypatch):
+        m, X, y = calib
+        cfg = SearchConfig(phi_d=phi_d)
+        probes = []
+
+        def uncached(alpha):
+            probes.append(alpha)
+            return coverage_at_alpha(m, X, y, alpha)
+
+        eps = replace(cfg, epsilon=max(0.005, 1.0 / y.size))
+        want = search_alpha(uncached, eps)
+        calls = []
+
+        def counting(terms, alpha, params, first_row=0):
+            calls.append(alpha)
+            return gt2cal.core.slice_forward(terms, alpha, params, first_row)
+
+        monkeypatch.setattr(gt2cal.calibration, "slice_forward", counting)
+        assert calibrate_search(m, X, y, cfg) == want
+        assert sorted(calls) == sorted(set(probes))
+        assert len(calls) < len(probes)
 
     def test_memberships_computed_once_per_picker(self, calib, monkeypatch):
         m, X, y = calib

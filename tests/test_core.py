@@ -25,8 +25,14 @@ from gt2cal.core import (
 )
 from gt2cal.errors import DegenerateFiringError
 
+import oracles
 from conftest import random_model
-from oracles import km_enumeration, km_vertex_bruteforce, product_tnorm_log
+from oracles import (
+    km_enumeration,
+    km_sorted_cumsum,
+    km_vertex_bruteforce,
+    product_tnorm_log,
+)
 
 
 def single_rule_model(c, sigma, sigma_l, sigma_r, a, a0):
@@ -334,6 +340,88 @@ class TestKarnikMendel:
             assert hi[b] == pytest.approx(trs.hi, rel=1e-12, abs=1e-13)
 
 
+def km_case(rng, B, P, zero_frac=0.0, tie=False):
+    """Sorted consequents and firings of B rows over P rules.
+
+    ``zero_frac`` of the firings are exactly zero, but one rule of each
+    row keeps upper firing; ``tie`` rounds the consequents so that some
+    tie.
+    """
+    y = 3.0 * rng.normal(size=(B, P))
+    if tie:
+        y = np.round(y)
+    fu = rng.random((B, P))
+    fu[rng.random((B, P)) < zero_frac] = 0.0
+    fu[:, 0] = np.maximum(fu[:, 0], 0.25)
+    fl = fu * rng.random((B, P))
+    fl[rng.random((B, P)) < zero_frac] = 0.0
+    order = np.argsort(y, axis=1, kind="stable")
+    return tuple(np.take_along_axis(a, order, axis=1) for a in (fl, fu, y))
+
+
+def assert_km_equals_cumsum_reference(fl, fu, y):
+    """The one-pass reduction equals the per-end cumsum one, byte for byte."""
+    lo, hi, km = core._km_sorted(fl, fu, y, None)
+    got = (lo, hi, km.L, km.R, km.den_lo, km.den_hi)
+    for name, g, w in zip(("lo", "hi", "L", "R", "den_lo", "den_hi"), got,
+                          km_sorted_cumsum(fl, fu, y)):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+class TestOnePassKM:
+    """``_km_sorted`` sums all switch candidates in one pass along the rule
+    axis; it must equal the cumsum reference in every output bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(B=st.integers(0, 80), P=st.sampled_from([1, 2, 3, 10, 17]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           zero_frac=st.sampled_from([0.0, 0.3, 1.0]), tie=st.booleans())
+    def test_property(self, B, P, seed, zero_frac, tie):
+        rng = np.random.default_rng(seed)
+        assert_km_equals_cumsum_reference(*km_case(rng, B, P, zero_frac, tie))
+
+    # 1025 rows and more run in row blocks of at most 1024
+    @pytest.mark.parametrize("B", [957, 1024, 1025, 1435, 6698])
+    def test_bench_sized_batches(self, rng, B):
+        assert_km_equals_cumsum_reference(*km_case(rng, B, 10, 0.05, True))
+
+    def test_zero_firings(self, rng):
+        fl, fu, y = km_case(rng, 200, 10, zero_frac=0.3)
+        fl[::3] = 0.0  # every lower firing of these rows is zero
+        fu[1::7] = 0.0  # only one rule fires
+        fu[1::7, 4] = 0.5
+        fl = np.minimum(fl, fu)
+        assert_km_equals_cumsum_reference(fl, fu, y)
+
+    def test_tied_and_negative_zero_consequents(self, rng):
+        fl, fu, y = km_case(rng, 200, 6)
+        y = np.sort(np.round(y / 3.0), axis=1)
+        y[y == 0.0] = -0.0
+        y[::4] = -0.0
+        y[1::4, 1:3] = y[1::4, :1]
+        assert_km_equals_cumsum_reference(fl, fu, y)
+
+    def test_scaled_rows(self, rng):
+        fl, fu, y = km_case(rng, 60, 10, zero_frac=0.1)
+        y[::3] = np.ldexp(y[::3], 1020)
+        y[1::3] *= 2.0 ** 512 / np.abs(y[1::3]).max(axis=1, keepdims=True)
+        y = np.sort(y, axis=1)
+        assert_km_equals_cumsum_reference(fl, fu, y)
+
+    @pytest.mark.parametrize("P", [3, 10])
+    def test_pinched_rows(self, rng, P):
+        # with all consequents tied, every candidate is the same average
+        # mathematically; the ends sum it in different orders, and some
+        # rows invert by an ulp before the pinch
+        fl, fu, y = km_case(rng, 2000, P)
+        y = np.repeat(y[:, :1], P, axis=1)
+        lo, _, _ = oracles._km_end(fu, fl, y, minimize=True)
+        hi, _, _ = oracles._km_end(fl, fu, y, minimize=False)
+        assert np.any(lo > hi)
+        assert_km_equals_cumsum_reference(fl, fu, y)
+
+
 def one_input_model(c, a0, sigma_l, sigma_r):
     """Rules on one input with unit primary deviation and constant
     consequents ``a0``."""
@@ -393,6 +481,39 @@ class TestAggregation:
         m = one_input_model([0.0], [1.5], 0.1, 0.1)
         with pytest.raises(ValueError):
             predict_batch(self.X0, 0.5, m, [])
+
+    def test_point_near_the_float_limit(self):
+        # the weighted sum over 11 planes of 3.3e307 overflows unless scaled
+        m = one_input_model([0.0, 0.0], [3.3e307, 3.3e307], 1e-20, 1e-20)
+        lo, hi, point = predict(np.zeros(1), 0.37, m)
+        assert lo == hi == 3.3e307
+        assert point == pytest.approx(3.3e307, rel=1e-15, abs=0)
+
+    def test_power_of_two_consequents_scale_the_point_exactly(self, rng):
+        # |y| stays below 8 here, so 2**1021 y is finite, but an unscaled
+        # sum over the default planes (weights 5.51) is not
+        m = random_model(rng, n_rules=5, n_inputs=2)
+        X = rng.normal(size=(300, 2))
+        big = ModelParams(c=m.c, sigma=m.sigma, sigma_l=m.sigma_l,
+                          sigma_r=m.sigma_r, a=np.ldexp(m.a, 1021),
+                          a0=np.ldexp(m.a0, 1021))
+        for n_rows in (1, 300):
+            _, _, point = predict_batch(X[:n_rows], 0.37, m)
+            _, _, big_point = predict_batch(X[:n_rows], 0.37, big)
+            np.testing.assert_array_equal(big_point, np.ldexp(point, 1021))
+
+    def test_scaled_point_leaves_other_rows_of_the_block_alone(self):
+        # the slope makes rows at x = 1 huge and rows at x = 0 small
+        m = ModelParams(c=np.zeros((3, 1)), sigma=np.full((3, 1), 2.0),
+                        sigma_l=np.array([0.2]), sigma_r=np.array([0.3]),
+                        a=np.array([[1e308], [5e307], [0.0]]),
+                        a0=np.array([0.25, -1.5, 2.0]))
+        X = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
+        lo, hi, point = predict_batch(X, 0.37, m)
+        assert np.all(np.isfinite(point))
+        for i in (0, 2, 4):
+            want = predict_batch(X[i:i + 1], 0.37, m)
+            assert (lo[i], hi[i], point[i]) == tuple(w[0] for w in want)
 
     def test_output_within_center_range(self, rng):
         m = random_model(rng, n_rules=5, n_inputs=2)

@@ -256,9 +256,9 @@ _FIELD_PATHS = (
     + [("normalization", k) for k in ("x_mean", "x_std", "y_mean", "y_std")]
     + [("train_config",), ("metadata",)])
 
-# Finite magnitudes stay below 1e300 so that a sum of a few consequents
-# cannot leave the float64 range: that is overflow, not a schema question.
-_numbers = (st.floats(min_value=-1e300, max_value=1e300)
+# Finite values span the whole float64 range: a model that loads must run
+# also with consequents near the float limit.
+_numbers = (st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from([float("nan"), float("inf"), float("-inf")]))
 _json_values = st.recursive(
     st.none() | st.booleans() | _numbers | st.text(max_size=4)
