@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print a SHA-256 digest of every numeric output of this checkout.
 
-One ``name sha256`` line per output: trained parameters, loss and gradient,
+One ``name sha256`` line per output: trained parameters and per-epoch
+history (also with a one-row last minibatch), loss and gradient,
 piece signatures, batched prediction over one and several row blocks and
 at every slice grouping, single-row prediction, search calibration,
 the lookup table, one-slice bounds and coverage, and the Karnik-Mendel
@@ -79,12 +80,15 @@ def main():
     stack = replace(base, point_output="plane-stack", epochs=1)
     configs = {"alpha0": base, "plane-stack": stack,
                "plane-stack-0.5-1.0": replace(stack, planes=(0.5, 1.0))}
+    # 799-row minibatches: every epoch ends on a one-row step
+    fit_configs = {**configs,
+                   "alpha0-mb799": replace(base, minibatch=N_TRAIN - 1)}
 
-    fits = {name: train(X, y, cfg) for name, cfg in configs.items()}
+    fits = {name: train(X, y, cfg) for name, cfg in fit_configs.items()}
     for name, res in fits.items():
         p = res.params
         emit(f"train.{name}", p.c, p.sigma, p.sigma_l, p.sigma_r, p.a, p.a0,
-             [res.best_loss, res.best_epoch])
+             [res.best_loss, res.best_epoch], res.history_rows())
 
     raw = fits["alpha0"].raw
     Xb, yb = X[:64], y[:64]

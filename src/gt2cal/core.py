@@ -99,6 +99,10 @@ def spread_scale(alpha: AlphaLevel | float | np.ndarray) -> float | np.ndarray:
     return float(np.sqrt(-2.0 * np.log(a)))
 
 
+#: The fields of :class:`ModelParams`, in order.
+_PARAM_FIELDS = ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """
@@ -118,6 +122,10 @@ class ModelParams:
         Consequent slopes.
     a0 : (P,) array
         Consequent intercepts.
+
+    Construction checks the shapes, that every value is finite and that
+    every deviation is strictly positive, and raises ``ValueError`` naming
+    the first field, in the order above, that fails.
     """
 
     c: np.ndarray
@@ -128,7 +136,7 @@ class ModelParams:
     a0: np.ndarray
 
     def __post_init__(self):
-        for name in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0"):
+        for name in _PARAM_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
         if self.c.ndim != 2 or 0 in self.c.shape:
@@ -141,7 +149,14 @@ class ModelParams:
             raise ValueError("sigma_l and sigma_r must have shape (M,)")
         if self.a0.shape != (P,):
             raise ValueError("a0 must have shape (P,)")
-        for name in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0"):
+        # one check over all values, and one over the three deviation
+        # families, which sit next to each other; only a failure looks at
+        # each field in turn, for the message
+        flat = np.concatenate([getattr(self, name).ravel()
+                               for name in _PARAM_FIELDS])
+        if np.isfinite(flat).all() and flat[P * M:2 * P * M + 2 * M].min() > 0.0:
+            return
+        for name in _PARAM_FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
         for name in ("sigma", "sigma_l", "sigma_r"):
@@ -213,8 +228,10 @@ def pmf_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
     (B, P, M) array of Gaussian memberships in (0, 1].
     """
     X = _checked_inputs(X, params)
-    d = X[:, None, :] - params.c[None, :, :]
-    return np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
+    # a distance or ratio too large for a float has membership 0 all the same
+    with np.errstate(over="ignore"):
+        d = X[:, None, :] - params.c[None, :, :]
+        return np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
 
 
 def _checked_inputs(X, params: ModelParams) -> np.ndarray:

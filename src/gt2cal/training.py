@@ -15,6 +15,7 @@ mapped through softplus, so a plain Adam loop needs no projection step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +98,11 @@ def inv_softplus(s):
 
 
 def _sigmoid(r):
-    out = np.empty_like(r)
-    pos = r >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-r[pos]))
-    e = np.exp(r[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-r) for r >= 0 and e^r / (1 + e^r) below, so that no
+    exponential overflows."""
+    e = np.exp(-np.abs(r))
+    one_plus = 1.0 + e
+    return np.where(r >= 0, 1.0 / one_plus, e / one_plus)
 
 
 @dataclass
@@ -125,34 +125,54 @@ class RawParams:
     _FIELDS = ("c", "rho_sigma", "rho_sigma_l", "rho_sigma_r", "a", "a0")
 
     def constrain(self) -> ModelParams:
-        return ModelParams(
-            c=self.c.copy(),
-            sigma=softplus(self.rho_sigma) + _SOFTPLUS_FLOOR,
-            sigma_l=softplus(self.rho_sigma_l) + _SOFTPLUS_FLOOR,
-            sigma_r=softplus(self.rho_sigma_r) + _SOFTPLUS_FLOOR,
-            a=self.a.copy(),
-            a0=self.a0.copy(),
-        )
+        """The constrained parameters, sharing no memory with these."""
+        return _flat_params(self.to_vector(), *self.c.shape)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([getattr(self, f).ravel() for f in self._FIELDS])
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_rules: int, n_inputs: int) -> "RawParams":
-        P, M = n_rules, n_inputs
-        shapes = [(P, M), (P, M), (M,), (M,), (P, M), (P,)]
-        pieces = {}
-        at = 0
-        for name, shape in zip(cls._FIELDS, shapes):
-            size = int(np.prod(shape))
-            pieces[name] = vec[at:at + size].reshape(shape).copy()
-            at += size
-        if at != vec.size:
+        views = _field_views(vec, n_rules, n_inputs)
+        if sum(v.size for v in views) != vec.size:
             raise ValueError("vector length does not match parameter shapes")
-        return cls(**pieces)
+        return cls(*(v.copy() for v in views))
 
-    def zeros_like(self) -> "RawParams":
-        return RawParams(**{f: np.zeros_like(getattr(self, f)) for f in self._FIELDS})
+
+def _field_views(vec: np.ndarray, P: int, M: int) -> list[np.ndarray]:
+    """Views of the six fields of a flat :meth:`RawParams.to_vector`, in
+    ``RawParams._FIELDS`` order, for P rules and M inputs."""
+    views, at = [], 0
+    for shape in ((P, M), (P, M), (M,), (M,), (P, M), (P,)):
+        size = math.prod(shape)
+        views.append(vec[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _deviations(P: int, M: int) -> slice:
+    """Where the three deviation families sit in a flat parameter vector.
+
+    In ``RawParams._FIELDS`` order they are adjacent: the (P, M) primary
+    deviations, then the (M,) left and the (M,) right secondary ones, so
+    one elementwise call covers all three.
+    """
+    return slice(P * M, 2 * P * M + 2 * M)
+
+
+def _flat_params(theta: np.ndarray, P: int, M: int) -> ModelParams:
+    """The constrained parameters of a flat :meth:`RawParams.to_vector`.
+
+    Centers and consequents are views into ``theta``, which the caller
+    must not write to while the parameters are in use; the deviations take
+    one softplus.
+    """
+    c, _, _, _, a, a0 = _field_views(theta, P, M)
+    sigmas = softplus(theta[_deviations(P, M)])
+    sigmas += _SOFTPLUS_FLOOR
+    return ModelParams(c=c, sigma=sigmas[:P * M].reshape(P, M),
+                       sigma_l=sigmas[P * M:P * M + M],
+                       sigma_r=sigmas[P * M + M:], a=a, a0=a0)
 
 
 def init_raw(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
@@ -217,13 +237,17 @@ class ForwardResult:
 
 def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
     """Full forward pass of the training loss over one batch."""
+    return _forward_at(X, y, raw.constrain(), cfg)
+
+
+def _forward_at(X, y, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
+    """:func:`_forward` with the parameters already constrained."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ValueError("expected X of shape (B, M) and matching targets")
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    params = raw.constrain()
     terms = batch_terms(X, params)
 
     # the bottom slice always runs (the pinball loss reads it); in the
@@ -293,9 +317,18 @@ def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
 
 def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     """Training loss over a batch and its gradient in RawParams shape."""
+    P, M = raw.c.shape
+    loss, grad = _loss_and_flat_grad(X, y, raw.to_vector(), P, M, cfg)
+    return loss, RawParams.from_vector(grad, P, M)
+
+
+def _loss_and_flat_grad(X, y, theta: np.ndarray, P: int, M: int,
+                        cfg: TrainConfig):
+    """Training loss over a batch and its gradient, both at and as a flat
+    :meth:`RawParams.to_vector` of P rules and M inputs."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    fwd = _forward(X, y, raw, cfg)
+    fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg)
     params = fwd.params
     terms = fwd.terms
     back = _rule_positions(terms.order)
@@ -306,19 +339,23 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     d_point = -np.tanh(eps) / B
     r_lo = y - fwd.lo
     r_hi = y - fwd.hi
-    d_lo_pin = np.where(r_lo >= 0.0, -cfg.tau_lo, 1.0 - cfg.tau_lo) / B
-    d_hi_pin = np.where(r_hi >= 0.0, -cfg.tau_hi, 1.0 - cfg.tau_hi) / B
+    d_lo_pin = np.where(r_lo >= 0.0, -cfg.tau_lo / B, (1.0 - cfg.tau_lo) / B)
+    d_hi_pin = np.where(r_hi >= 0.0, -cfg.tau_hi / B, (1.0 - cfg.tau_hi) / B)
 
     # distribute the point-output gradient over plane centers
     total = fwd.weights.sum()
     plane_center_grads = [d_point * (w / total) for w in fwd.weights]
 
-    # d_gamma in rule order; d_y_cons in consequent order until the end
-    d_gamma = np.zeros_like(terms.gamma)
-    d_y_cons = np.zeros_like(terms.y)
-    d_sigma_l = np.zeros_like(params.sigma_l)
-    d_sigma_r = np.zeros_like(params.sigma_r)
+    # the gradient, in the layout of theta; the deviations hold d/dsigma
+    # until the softplus step at the end
+    grad = np.empty(theta.size)
+    d_c, d_sigma, d_sigma_l, d_sigma_r, d_a, d_a0 = _field_views(grad, P, M)
+    d_sigma_l[...] = d_sigma_r[...] = 0.0
 
+    # d_gamma in rule order; d_y_cons in consequent order until the end.
+    # Both start from the bottom slice's term, not from zeros, so they can
+    # hold a -0.0 where a zero start holds +0.0; every sum over rows below,
+    # the matrix product's too, starts from +0.0 and drops that sign
     for i, plane in enumerate(fwd.planes):
         d_center = plane_center_grads[i]
         d_lo = 0.5 * d_center
@@ -327,7 +364,6 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
             d_lo = d_lo + d_lo_pin
             d_hi = d_hi + d_hi_pin
         d_y, d_fl, d_fu = _backward_km(plane, d_lo, d_hi, terms.y)
-        d_y_cons += d_y
 
         # through the log-domain product: df/dmu = f / mu on active factors;
         # memberships clamped to 1 (upper) or 0 (lower) are flat
@@ -341,32 +377,33 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
         d_u = _to_rule_order(d_fu[:, :, None] * ratio_u, back)
         d_l = _to_rule_order(d_fl[:, :, None] * ratio_l, back)
 
-        d_gamma += d_u + d_l
+        if i == 0:
+            d_y_cons = d_y
+            d_gamma = d_u + d_l
+        else:
+            d_y_cons += d_y
+            d_gamma += d_u + d_l
         k = spread_scale(plane.alpha)
         if k != 0.0:
-            d_sigma_r += k * d_u.sum(axis=(0, 1))
-            d_sigma_l -= k * d_l.sum(axis=(0, 1))
+            # the rows and rules of a (B, P, M) array as one axis: the
+            # same adds, in the same order, as a sum over axes (0, 1)
+            d_sigma_r += k * d_u.reshape(-1, M).sum(axis=0)
+            d_sigma_l -= k * d_l.reshape(-1, M).sum(axis=0)
 
     # membership -> centers and primary deviations
     d = X[:, None, :] - params.c[None, :, :]
     inv_var = 1.0 / params.sigma[None, :, :] ** 2
     common = d_gamma * _to_rule_order(terms.gamma, back)
-    d_c = (common * d * inv_var).sum(axis=0)
-    d_sigma = (common * d ** 2 * inv_var / params.sigma[None, :, :]).sum(axis=0)
+    (common * d * inv_var).sum(axis=0, out=d_c)
+    (common * d ** 2 * inv_var / params.sigma[None, :, :]).sum(axis=0,
+                                                                out=d_sigma)
+    dev = _deviations(P, M)
+    grad[dev] *= _sigmoid(theta[dev])
 
     # consequents
     d_y_cons = _to_rule_order(d_y_cons, back)
-    d_a = d_y_cons.T @ X
-    d_a0 = d_y_cons.sum(axis=0)
-
-    grad = RawParams(
-        c=d_c,
-        rho_sigma=d_sigma * _sigmoid(raw.rho_sigma),
-        rho_sigma_l=d_sigma_l * _sigmoid(raw.rho_sigma_l),
-        rho_sigma_r=d_sigma_r * _sigmoid(raw.rho_sigma_r),
-        a=d_a,
-        a0=d_a0,
-    )
+    np.matmul(d_y_cons.T, X, out=d_a)
+    d_y_cons.sum(axis=0, out=d_a0)
     return fwd.loss, grad
 
 
@@ -444,6 +481,14 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
     Tracks the full-training-set loss at the end of every epoch and returns
     the parameters that achieved the minimum.  Deterministic for a given
     (data, config) pair.
+
+    Adam steps on the flat vector of :meth:`RawParams.to_vector`: each
+    step's constrained parameters are views into it (one softplus covers
+    the three deviation families, which sit next to each other), and the
+    gradient is written straight into one vector of the same layout.  Each
+    epoch gathers its shuffled rows once and steps over contiguous slices
+    of them.  ``X`` and ``y`` are never written to, and no array of the
+    result shares memory with another or with the inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -457,23 +502,27 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
     theta = raw.to_vector()
     state = AdamState.init(theta.size)
     best_loss = np.inf
-    best_theta = theta.copy()
+    best_theta = theta
     best_epoch = 0
     history = []
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, cfg.minibatch):
-            idx = order[start:start + cfg.minibatch]
-            raw = RawParams.from_vector(theta, P, M)
-            loss, grad = loss_and_grad(X[idx], y[idx], raw, cfg)
+            rows = slice(start, start + cfg.minibatch)
+            loss, grad = _loss_and_flat_grad(X_epoch[rows], y_epoch[rows],
+                                             theta, P, M, cfg)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
-            theta, state = adam_step(theta, grad.to_vector(), state, lr=cfg.lr)
+            # a new vector each step: the views of earlier steps stay valid
+            theta, state = adam_step(theta, grad, state, lr=cfg.lr)
+        # the shuffled copy is not needed by the full-set pass, which sets
+        # the peak memory of a fit
+        del X_epoch, y_epoch
 
-        raw = RawParams.from_vector(theta, P, M)
-        fwd = _forward(X, y, raw, cfg)
+        fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg)
         if not np.isfinite(fwd.loss):
             raise DivergenceError(
                 f"non-finite training loss at epoch {epoch}", epoch=epoch)
@@ -486,7 +535,7 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
         })
         if fwd.loss < best_loss:
             best_loss = fwd.loss
-            best_theta = theta.copy()
+            best_theta = theta
             best_epoch = epoch
 
     best_raw = RawParams.from_vector(best_theta, P, M)

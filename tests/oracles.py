@@ -1,12 +1,34 @@
 """Independent reference implementations used only to check the package.
 
-Everything here is deliberately written as plain loops over definitions,
-sharing no code with the package internals.
+The type-reduction and t-norm references are deliberately written as
+plain loops over definitions, sharing no code with the package internals.
+The bit-identity references are earlier versions of package routines,
+kept verbatim: the per-cumsum Karnik-Mendel sums, and the training loop
+that stepped on a fresh :class:`RawParams` per minibatch, which calls the
+package's forward and backward helpers.
 """
 
 import itertools
 
 import numpy as np
+
+from gt2cal.core import ALPHA_MIN, batch_terms, slice_forward, spread_scale
+from gt2cal.errors import DivergenceError
+from gt2cal.training import (
+    AdamState,
+    ForwardResult,
+    RawParams,
+    TrainConfig,
+    TrainResult,
+    _backward_km,
+    _rule_positions,
+    _sigmoid,
+    _to_rule_order,
+    adam_step,
+    init_raw,
+    log_cosh_loss,
+    pinball_pair_loss,
+)
 
 
 def km_enumeration(f_lower, f_upper, y):
@@ -144,3 +166,177 @@ def km_sorted_cumsum(fls, fus, ys):
     if scaled:
         lo, hi = np.ldexp(lo, exp), np.ldexp(hi, exp)
     return lo, hi, L, R, den_lo, den_hi
+
+
+# ---------------------------------------------------------------------------
+# Training on a fresh RawParams per minibatch
+# ---------------------------------------------------------------------------
+
+def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
+    """Full forward pass of the training loss over one batch."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("expected X of shape (B, M) and matching targets")
+    if X.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    params = raw.constrain()
+    terms = batch_terms(X, params)
+
+    # the bottom slice always runs (the pinball loss reads it); in the
+    # point it weighs its alpha only if the plane stack serves it
+    alphas, weights = [ALPHA_MIN], [1.0]
+    if cfg.point_output == "plane-stack":
+        alphas += [a for a in cfg.planes if a != ALPHA_MIN]
+        weights = [a if a in cfg.planes else 0.0 for a in alphas]
+    weights = np.array(weights)
+    planes = [slice_forward(terms, a, params) for a in alphas]
+
+    base = planes[0]
+    centers = np.stack([0.5 * (p.lo + p.hi) for p in planes])
+    point = weights @ centers / weights.sum()
+
+    eps = y - point
+    loss = float(np.mean(log_cosh_loss(eps) +
+                         pinball_pair_loss(y, base.lo, base.hi,
+                                           cfg.tau_lo, cfg.tau_hi)))
+    return ForwardResult(loss=loss, point=point, lo=base.lo, hi=base.hi,
+                         params=params, terms=terms,
+                         planes=planes, weights=weights)
+
+
+def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
+    """Training loss over a batch and its gradient in RawParams shape."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fwd = _forward(X, y, raw, cfg)
+    params = fwd.params
+    terms = fwd.terms
+    back = _rule_positions(terms.order)
+    B = X.shape[0]
+
+    # loss-level derivatives
+    eps = y - fwd.point
+    d_point = -np.tanh(eps) / B
+    r_lo = y - fwd.lo
+    r_hi = y - fwd.hi
+    d_lo_pin = np.where(r_lo >= 0.0, -cfg.tau_lo, 1.0 - cfg.tau_lo) / B
+    d_hi_pin = np.where(r_hi >= 0.0, -cfg.tau_hi, 1.0 - cfg.tau_hi) / B
+
+    # distribute the point-output gradient over plane centers
+    total = fwd.weights.sum()
+    plane_center_grads = [d_point * (w / total) for w in fwd.weights]
+
+    # d_gamma in rule order; d_y_cons in consequent order until the end
+    d_gamma = np.zeros_like(terms.gamma)
+    d_y_cons = np.zeros_like(terms.y)
+    d_sigma_l = np.zeros_like(params.sigma_l)
+    d_sigma_r = np.zeros_like(params.sigma_r)
+
+    for i, plane in enumerate(fwd.planes):
+        d_center = plane_center_grads[i]
+        d_lo = 0.5 * d_center
+        d_hi = 0.5 * d_center
+        if i == 0:  # pinball acts on the bottom slice only
+            d_lo = d_lo + d_lo_pin
+            d_hi = d_hi + d_hi_pin
+        d_y, d_fl, d_fu = _backward_km(plane, d_lo, d_hi, terms.y)
+        d_y_cons += d_y
+
+        # through the log-domain product: df/dmu = f / mu on active factors;
+        # memberships clamped to 1 (upper) or 0 (lower) are flat
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_u = np.where((plane.upper > 0.0) & (plane.upper < 1.0),
+                               plane.f_upper[:, :, None] / plane.upper, 0.0)
+            ratio_l = np.where(plane.lower > 0.0,
+                               plane.f_lower[:, :, None] / plane.lower, 0.0)
+        # back in rule order before any sum over rules, which would round
+        # differently over the rules of another order
+        d_u = _to_rule_order(d_fu[:, :, None] * ratio_u, back)
+        d_l = _to_rule_order(d_fl[:, :, None] * ratio_l, back)
+
+        d_gamma += d_u + d_l
+        k = spread_scale(plane.alpha)
+        if k != 0.0:
+            d_sigma_r += k * d_u.sum(axis=(0, 1))
+            d_sigma_l -= k * d_l.sum(axis=(0, 1))
+
+    # membership -> centers and primary deviations
+    d = X[:, None, :] - params.c[None, :, :]
+    inv_var = 1.0 / params.sigma[None, :, :] ** 2
+    common = d_gamma * _to_rule_order(terms.gamma, back)
+    d_c = (common * d * inv_var).sum(axis=0)
+    d_sigma = (common * d ** 2 * inv_var / params.sigma[None, :, :]).sum(axis=0)
+
+    # consequents
+    d_y_cons = _to_rule_order(d_y_cons, back)
+    d_a = d_y_cons.T @ X
+    d_a0 = d_y_cons.sum(axis=0)
+
+    grad = RawParams(
+        c=d_c,
+        rho_sigma=d_sigma * _sigmoid(raw.rho_sigma),
+        rho_sigma_l=d_sigma_l * _sigmoid(raw.rho_sigma_l),
+        rho_sigma_r=d_sigma_r * _sigmoid(raw.rho_sigma_r),
+        a=d_a,
+        a0=d_a0,
+    )
+    return fwd.loss, grad
+
+
+def train(X, y, cfg: TrainConfig) -> TrainResult:
+    """
+    Fit the rule base by minibatch Adam, in z-scored space.
+
+    Tracks the full-training-set loss at the end of every epoch and returns
+    the parameters that achieved the minimum.  Deterministic for a given
+    (data, config) pair.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("expected X of shape (N, M) and matching targets")
+    rng = np.random.default_rng(cfg.seed)
+    raw = init_raw(X, y, cfg, rng)
+    n = X.shape[0]
+    P, M = cfg.n_rules, X.shape[1]
+
+    theta = raw.to_vector()
+    state = AdamState.init(theta.size)
+    best_loss = np.inf
+    best_theta = theta.copy()
+    best_epoch = 0
+    history = []
+
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch):
+            idx = order[start:start + cfg.minibatch]
+            raw = RawParams.from_vector(theta, P, M)
+            loss, grad = loss_and_grad(X[idx], y[idx], raw, cfg)
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
+            theta, state = adam_step(theta, grad.to_vector(), state, lr=cfg.lr)
+
+        raw = RawParams.from_vector(theta, P, M)
+        fwd = _forward(X, y, raw, cfg)
+        if not np.isfinite(fwd.loss):
+            raise DivergenceError(
+                f"non-finite training loss at epoch {epoch}", epoch=epoch)
+        covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
+        history.append({
+            "epoch": epoch,
+            "loss": fwd.loss,
+            "picp_alpha0": float(covered),
+            "rmse": float(np.sqrt(np.mean((y - fwd.point) ** 2))),
+        })
+        if fwd.loss < best_loss:
+            best_loss = fwd.loss
+            best_theta = theta.copy()
+            best_epoch = epoch
+
+    best_raw = RawParams.from_vector(best_theta, P, M)
+    return TrainResult(params=best_raw.constrain(), raw=best_raw,
+                       best_epoch=best_epoch, best_loss=float(best_loss),
+                       history=history)

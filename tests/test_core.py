@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,8 +87,76 @@ class TestModelParams:
                 a=np.zeros((2, 1)), a0=np.zeros(2),
             )
 
+    FIELDS = ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")
+
+    @staticmethod
+    def fields_with(**bad):
+        """The fields of a valid 2-rule, 3-input model, with entry 1 of
+        each named field set to the given value."""
+        fields = {"c": np.zeros((2, 3)), "sigma": np.ones((2, 3)),
+                  "sigma_l": np.full(3, 0.1), "sigma_r": np.full(3, 0.2),
+                  "a": np.zeros((2, 3)), "a0": np.zeros(2)}
+        for name, value in bad.items():
+            fields[name].flat[1] = value
+        return fields
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_names_the_non_finite_field(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} contains non-finite values$"):
+            ModelParams(**self.fields_with(**{name: value}))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["sigma", "sigma_l", "sigma_r"])
+    def test_names_the_non_positive_deviation(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be strictly positive$"):
+            ModelParams(**self.fields_with(**{name: value}))
+
+    @pytest.mark.parametrize("bad, named", [
+        # non-finite values come first, in field order, then deviations
+        ({"c": np.nan, "a0": np.nan}, "c contains non-finite"),
+        ({"sigma_r": np.nan, "a0": np.inf}, "sigma_r contains non-finite"),
+        ({"sigma": 0.0, "a": np.nan}, "a contains non-finite"),
+        ({"sigma_l": -1.0, "sigma_r": np.inf}, "sigma_r contains non-finite"),
+        ({"sigma": 0.0, "sigma_r": -1.0}, "sigma must be strictly"),
+        ({"sigma_l": 0.0, "sigma_r": 0.0}, "sigma_l must be strictly"),
+    ])
+    def test_first_failing_check_wins(self, bad, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            ModelParams(**self.fields_with(**bad))
+
+    def test_one_field_with_both_faults_is_non_finite(self):
+        fields = self.fields_with(sigma=np.nan)
+        fields["sigma"][0, 0] = 0.0
+        with pytest.raises(ValueError, match="^sigma contains non-finite"):
+            ModelParams(**fields)
+
+    def test_valid_fields_pass_unchanged(self):
+        fields = self.fields_with()
+        m = ModelParams(**fields)
+        for name in self.FIELDS:
+            assert getattr(m, name) is fields[name]
+
 
 class TestPrimaryMembership:
+    def test_ratio_too_large_to_square_is_silent(self):
+        # (0 - 1e200) / 1 squares to inf: membership 0, with no warning,
+        # and the same outputs as a far center whose square is finite
+        def model(far):
+            return ModelParams(c=np.array([[0.0], [far]]), sigma=np.ones((2, 1)),
+                               sigma_l=np.full(1, 0.1), sigma_r=np.full(1, 0.1),
+                               a=np.zeros((2, 1)), a0=np.array([1.0, 2.0]))
+        X = np.zeros((1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = pmf_batch(X, model(1e200))
+            got = predict_batch(X, 0.37, model(1e200))
+        assert gamma.tolist() == [[[1.0], [0.0]]]
+        for g, want in zip(got, predict_batch(X, 0.37, model(1e10))):
+            assert g.tobytes() == want.tobytes()
+
     def test_center_gives_one(self):
         m = single_rule_model(0.7, 0.3, 0.1, 0.1, 0.0, 0.0)
         assert pmf_batch(np.array([[0.7]]), m)[0, 0, 0] == 1.0

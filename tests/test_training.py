@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from gt2cal.training import (
     train,
 )
 
+import oracles
 from conftest import heteroscedastic_line
 
 
@@ -408,3 +412,117 @@ class TestPointOutput:
         # an empty stack would leave the point with no weight at all
         with pytest.raises(ValueError, match="plane stack"):
             TrainConfig(planes=(), point_output="plane-stack")
+
+
+def _train_task(n=150, M=3, seed=12):
+    """A z-scored nonlinear task whose row count is not a multiple of 64."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, M))
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1] * X[:, -1] + 0.3 * rng.normal(size=n)
+    return X, (y - y.mean()) / y.std()
+
+
+def _result_arrays(res):
+    """Every array of a TrainResult: the six raw, then the six constrained."""
+    return ([getattr(res.raw, f) for f in RawParams._FIELDS]
+            + [getattr(res.params, f) for f in
+               ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")])
+
+
+def _result_bytes(res):
+    return ([a.tobytes() for a in _result_arrays(res)]
+            + [np.float64(res.best_loss).tobytes(), res.best_epoch,
+               np.array(res.history_rows()).tobytes()])
+
+
+_BASE = TrainConfig(n_rules=4, epochs=3, lr=1e-2, seed=2)
+_STACK = TrainConfig(n_rules=4, epochs=1, lr=1e-2, seed=2,
+                     point_output="plane-stack")
+
+
+class TestFlatTraining:
+    """Training on one flat parameter vector equals, byte for byte, the
+    loop that stepped on a fresh RawParams per minibatch."""
+
+    @pytest.mark.parametrize("cfg", [
+        _BASE,                                   # 150 rows: a 22-row last step
+        _STACK,                                  # the default 11 planes
+        replace(_STACK, planes=(0.5, 1.0), epochs=2),
+        replace(_BASE, minibatch=149),           # a one-row last step
+        replace(_BASE, n_rules=1),
+    ], ids=["alpha0", "plane-stack", "plane-stack-0.5-1.0", "mb-n-1",
+            "one-rule"])
+    def test_train_matches_the_per_field_loop(self, cfg):
+        X, y = _train_task()
+        got, want = train(X, y, cfg), oracles.train(X, y, cfg)
+        assert _result_bytes(got) == _result_bytes(want)
+
+        for rows in (slice(0, 64), slice(7, 8)):
+            loss, grad = loss_and_grad(X[rows], y[rows], got.raw, cfg)
+            ref_loss, ref_grad = oracles.loss_and_grad(X[rows], y[rows],
+                                                       got.raw, cfg)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.to_vector().tobytes() == ref_grad.to_vector().tobytes()
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(n_rules=2),
+                                     TrainConfig(n_rules=2, planes=(0.5, 1.0),
+                                                 point_output="plane-stack")])
+    def test_gradient_of_an_unfired_rule_matches(self, cfg):
+        # rule 2's firing underflows to exactly zero, so many of its terms
+        # are zeros whose sign the two routines may reach differently
+        M = 30
+        rng = np.random.default_rng(3)
+        raw = RawParams(
+            c=np.vstack([np.zeros(M), np.full(M, 1000.0)]),
+            rho_sigma=np.full((2, M), inv_softplus(1.0)),
+            rho_sigma_l=np.full(M, -800.0),
+            rho_sigma_r=np.full(M, -800.0),
+            a=rng.normal(size=(2, M)),
+            a0=np.array([0.0, 5.0]),
+        )
+        X = 0.1 * rng.normal(size=(4, M))
+        y = rng.normal(size=4)
+        for rows in (slice(0, 4), slice(0, 1)):
+            _, grad = loss_and_grad(X[rows], y[rows], raw, cfg)
+            _, ref = oracles.loss_and_grad(X[rows], y[rows], raw, cfg)
+            assert grad.to_vector().tobytes() == ref.to_vector().tobytes()
+
+    def test_forward_matches(self):
+        X, y = _train_task()
+        raw = random_raw(4, n_rules=3, n_inputs=3)
+        for cfg in (_BASE, _STACK):
+            got = _forward(X, y, raw, replace(cfg, n_rules=3))
+            want = oracles._forward(X, y, raw, replace(cfg, n_rules=3))
+            assert np.float64(got.loss).tobytes() == \
+                np.float64(want.loss).tobytes()
+            for a, b in ((got.point, want.point), (got.lo, want.lo),
+                         (got.hi, want.hi)):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestTrainingAliasing:
+    """The loop steps on views; nothing it returns or reads may alias."""
+
+    def test_no_two_result_arrays_share_memory(self):
+        X, y = _train_task()
+        res = train(X, y, _BASE)
+        arrays = _result_arrays(res)
+        for (i, a), (j, b) in itertools.combinations(enumerate(arrays), 2):
+            assert not np.shares_memory(a, b), (i, j)
+        for a in arrays:
+            assert not np.shares_memory(a, X)
+            assert not np.shares_memory(a, y)
+
+    def test_inputs_are_left_as_they_were(self):
+        X, y = _train_task()
+        before = (X.tobytes(), y.tobytes())
+        train(X, y, _BASE)
+        assert (X.tobytes(), y.tobytes()) == before
+
+    def test_a_second_fit_leaves_the_first_alone(self):
+        X, y = _train_task()
+        first = train(X, y, _BASE)
+        before = _result_bytes(first)
+        train(X, y, replace(_BASE, seed=5, lr=0.5))
+        train(X, y, _BASE)
+        assert _result_bytes(first) == before
