@@ -279,6 +279,10 @@ def read_calibration_curve(path) -> CalibrationTable:
 #: The search gives up once its step shrinks below this.
 _DELTA_FLOOR = 1e-4
 
+#: Coverage of the wide envelope a model is trained for; every coverage
+#: target that calibration serves lies below it.
+ENVELOPE = 0.99
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -292,8 +296,8 @@ class SearchConfig:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.phi_d < 0.99:
-            raise ValueError("coverage target must lie in (0, 0.99)")
+        if not 0.0 < self.phi_d < ENVELOPE:
+            raise ValueError(f"coverage target must lie in (0, {ENVELOPE})")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("shrink factor must lie in (0, 1)")
         if not ALPHA_MIN <= self.alpha_init <= 1.0:
@@ -351,12 +355,7 @@ def search_alpha(coverage_fn, cfg: SearchConfig) -> CalibrationResult:
         err_up = abs(phi_up - cfg.phi_d)
         err_dn = abs(phi_dn - cfg.phi_d)
 
-        if err_up < err and err_dn < err:
-            if err_up <= err_dn:
-                alpha, phi, err = alpha_up, phi_up, err_up
-            else:
-                alpha, phi, err = alpha_dn, phi_dn, err_dn
-        elif err_up < err:
+        if err_up < err and not err_dn < err_up:
             alpha, phi, err = alpha_up, phi_up, err_up
         elif err_dn < err:
             alpha, phi, err = alpha_dn, phi_dn, err_dn

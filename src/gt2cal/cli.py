@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
+    ENVELOPE,
     SearchConfig,
     build_lookup_table,
     calibrate_search,
@@ -29,6 +30,7 @@ from .calibration import (
 )
 from .core import ALPHA_MIN, DEFAULT_PLANES
 from .harness import (
+    REPORT_COLUMNS,
     NormalizationStats,
     format_report,
     interval_metrics,
@@ -41,6 +43,10 @@ from .harness import (
     synthetic_heteroscedastic,
 )
 from .training import TrainConfig, train
+
+
+#: Lookup grid step of ``calibrate --method lookup`` and ``curve``.
+_GRID_STEP = 0.1
 
 
 class UsageError(Exception):
@@ -58,20 +64,19 @@ def _build_parser():
     parser.add_argument("--config", help="key=value file with default options")
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    children = {}
 
     p = sub.add_parser("train", help="fit a model and write it as JSON")
     p.add_argument("--data", required=True, help="CSV dataset (or synthetic:N)")
     p.add_argument("--target", default=None, help="target column name or index")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--phi", type=float, default=0.99,
+    group.add_argument("--phi", type=float, default=ENVELOPE,
                        help="envelope coverage; sets a symmetric quantile pair")
     group.add_argument("--taus", nargs=2, type=float, metavar=("LO", "HI"),
                        help="explicit quantile pair")
-    p.add_argument("--rules", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--minibatch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--rules", type=int, default=TrainConfig.n_rules)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--minibatch", type=int, default=TrainConfig.minibatch)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--scheme", choices=["all", "85/15", "70/15/15"],
                    default="all", help="which split's training rows to fit on")
     p.add_argument("--out", required=True, help="model file to write")
@@ -87,9 +92,10 @@ def _build_parser():
                    default="calib")
     p.add_argument("--delta", type=float, default=None,
                    help="search step / lookup grid spacing")
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, default=SearchConfig.gamma)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--alpha-init", type=float, default=0.5)
+    p.add_argument("--alpha-init", type=float,
+                   default=SearchConfig.alpha_init)
     p.add_argument("--out", default=None, help="write the result record JSON")
     p.add_argument("--curve-out", default=None,
                    help="also export the sampled curve CSV (lookup method)")
@@ -106,7 +112,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--target", default=None)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=float, default=_GRID_STEP)
     p.add_argument("--split", choices=["train", "calib", "test", "all"],
                    default="calib")
     p.add_argument("--out", required=True)
@@ -115,8 +121,7 @@ def _build_parser():
     p.add_argument("--spec", required=True, help="JSON experiment spec")
     p.add_argument("--out-csv", default=None, help="per-seed rows CSV")
 
-    children.update(sub.choices)
-    return parser, children
+    return parser, sub.choices
 
 
 def _read_config(path) -> dict:
@@ -228,12 +233,13 @@ def _cmd_calibrate(args) -> int:
     bundle, Xz, yz = _prepare_eval_data(args)
     if args.method == "search":
         cfg = SearchConfig(phi_d=args.phi_d, alpha_init=args.alpha_init,
-                           delta=args.delta if args.delta else 0.25,
                            gamma=args.gamma, epsilon=args.epsilon)
+        if args.delta is not None:
+            cfg = replace(cfg, delta=args.delta)
         res = calibrate_search(bundle.params, Xz, yz, cfg)
         record = res.as_dict()
     else:
-        delta = args.delta if args.delta else 0.1
+        delta = _GRID_STEP if args.delta is None else args.delta
         table = build_lookup_table(bundle.params, Xz, yz, delta)
         hit = lookup_alpha(table, args.phi_d)
         achieved = coverage_at_alpha(bundle.params, Xz, yz, hit.alpha_star)
@@ -296,11 +302,10 @@ def _cmd_report(args) -> int:
             print(f"[{mode}] seed {seed} failed: {msg}", file=sys.stderr)
     print(format_report(reports))
     if args.out_csv:
-        rows = report_rows(reports)
         with open(args.out_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(report_rows(reports))
         print(f"per-seed rows written to {args.out_csv}")
     return 0
 
@@ -318,24 +323,22 @@ def main(argv=None) -> int:
     parser, children = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # apply config-file defaults before the real parse so explicit
-        # flags still override them
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise UsageError("--config needs a file argument")
-            defaults = _read_config(argv[at + 1])
-            known = {a.dest for a in parser._actions}
-            for sp in children.values():
-                known |= {a.dest for a in sp._actions}
-            unknown = set(defaults) - known
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values become defaults, and a second parse lets
+            # explicit flags override them
+            defaults = _read_config(args.config)
+            parsers = (parser, *children.values())
+            # options only: a "command" key would pick a subcommand
+            dests = [{a.dest for a in p._actions if a.option_strings}
+                     for p in parsers]
+            unknown = set(defaults).difference(*dests)
             if unknown:
                 raise UsageError(f"unknown config keys: {sorted(unknown)}")
-            parser.set_defaults(**defaults)
-            for sp in children.values():
-                sp.set_defaults(**{k: v for k, v in defaults.items()
-                                   if k in {a.dest for a in sp._actions}})
-        args = parser.parse_args(argv)
+            for p, known in zip(parsers, dests):
+                p.set_defaults(**{k: v for k, v in defaults.items()
+                                  if k in known})
+            args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
         return _COMMANDS[args.command](args)

@@ -14,6 +14,7 @@ so inference may run concurrently across inputs and alpha levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -103,6 +104,27 @@ def spread_scale(alpha: AlphaLevel | float | np.ndarray) -> float | np.ndarray:
 _PARAM_FIELDS = ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")
 
 
+def _param_views(vec: np.ndarray, P: int, M: int) -> list[np.ndarray]:
+    """Views of the six fields of a flat parameter vector, in
+    ``_PARAM_FIELDS`` order, for P rules and M inputs."""
+    views, at = [], 0
+    for shape in ((P, M), (P, M), (M,), (M,), (P, M), (P,)):
+        size = math.prod(shape)
+        views.append(vec[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _deviations(P: int, M: int) -> slice:
+    """Where the three deviation families sit in a flat parameter vector.
+
+    In ``_PARAM_FIELDS`` order they are adjacent: the (P, M) primary
+    deviations, then the (M,) left and the (M,) right secondary ones, so
+    one elementwise call covers all three.
+    """
+    return slice(P * M, 2 * P * M + 2 * M)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """
@@ -154,7 +176,7 @@ class ModelParams:
         # each field in turn, for the message
         flat = np.concatenate([getattr(self, name).ravel()
                                for name in _PARAM_FIELDS])
-        if np.isfinite(flat).all() and flat[P * M:2 * P * M + 2 * M].min() > 0.0:
+        if np.isfinite(flat).all() and flat[_deviations(P, M)].min() > 0.0:
             return
         for name in _PARAM_FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
@@ -174,9 +196,7 @@ class ModelParams:
     @property
     def n_learnable(self) -> int:
         """Total scalar learnable parameter count, (2P+2)M + P(M+1)."""
-        sizes = (self.c.size, self.sigma.size, self.sigma_l.size,
-                 self.sigma_r.size, self.a.size, self.a0.size)
-        return int(sum(sizes))
+        return sum(getattr(self, name).size for name in _PARAM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -342,10 +362,7 @@ def _check_firing(f_upper: np.ndarray,
 
 def consequent_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
     """First-order consequent values, shape (B, P)."""
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite values")
-    return _consequents(X, params)
+    return _consequents(_checked_inputs(X, params), params)
 
 
 def _consequents(X: np.ndarray, params: ModelParams) -> np.ndarray:

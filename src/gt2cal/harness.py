@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import SearchConfig, calibrate_search, picp, pinaw
-from .core import ALPHA_MIN, ModelParams, predict_batch
+from .calibration import ENVELOPE, SearchConfig, calibrate_search, picp, pinaw
+from .core import _PARAM_FIELDS, ALPHA_MIN, ModelParams, predict_batch
 from .errors import DegenerateFiringError, DivergenceError, SchemaError
 from .training import TrainConfig, train
 
@@ -228,9 +228,6 @@ class ModelBundle:
     metadata: dict = field(default_factory=dict)
 
 
-_PARAM_FIELDS = ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")
-
-
 def save_model(path, params: ModelParams, stats: NormalizationStats | None = None,
                train_config: TrainConfig | dict | None = None,
                metadata: dict | None = None) -> None:
@@ -383,16 +380,16 @@ def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
     """
     Repeat the full experiment across seeds and aggregate the metrics.
 
-    Coverage targets must stay below the 0.99 training envelope.  A seed
-    whose training diverges or degenerates is recorded as a failure without
-    aborting the remaining seeds.
+    Coverage targets must stay below the training envelope ``ENVELOPE``.
+    A seed whose training diverges or degenerates is recorded as a failure
+    without aborting the remaining seeds.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     phi_list = [float(p) for p in np.atleast_1d(phi_ds)]
     for p in phi_list:
-        if not 0.0 < p < 0.99:
-            raise ValueError(f"coverage target {p} must lie in (0, 0.99)")
+        if not 0.0 < p < ENVELOPE:
+            raise ValueError(f"coverage target {p} must lie in (0, {ENVELOPE})")
     if mode not in ("calibrated", "direct"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
 
@@ -428,7 +425,7 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
     Xcal, ycal = stats.apply(X[parts.calib], y[parts.calib])
     Xte, yte = stats.apply(X[parts.test], y[parts.test])
 
-    cfg = _seed_config(base_cfg, 0.99, seed)
+    cfg = _seed_config(base_cfg, ENVELOPE, seed)
     fitted = train(Xtr, ytr, cfg)
 
     runs = []
@@ -506,7 +503,12 @@ def format_report(reports: list[ExperimentReport]) -> str:
     return "\n\n".join(lines)
 
 
+#: Keys of each :func:`report_rows` row, in order; a CSV header can name
+#: them even when every seed failed and there are no rows.
+REPORT_COLUMNS = ("dataset", "mode", *(f.name for f in fields(SeedRun)))
+
+
 def report_rows(reports: list[ExperimentReport]) -> list[dict]:
     """Flat per-seed rows (for CSV export of a report)."""
-    return [{"dataset": rep.dataset, "mode": rep.mode, **asdict(run)}
+    return [dict(zip(REPORT_COLUMNS, (rep.dataset, rep.mode, *astuple(run))))
             for rep in reports for run in rep.runs]

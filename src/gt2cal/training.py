@@ -15,7 +15,6 @@ mapped through softplus, so a plain Adam loop needs no projection step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ from .core import (
     BatchTerms,
     ModelParams,
     SliceForward,
+    _deviations,
+    _param_views,
     batch_terms,
     km_reduce_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
     slice_forward,
@@ -133,46 +134,23 @@ class RawParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_rules: int, n_inputs: int) -> "RawParams":
-        views = _field_views(vec, n_rules, n_inputs)
+        views = _param_views(vec, n_rules, n_inputs)
         if sum(v.size for v in views) != vec.size:
             raise ValueError("vector length does not match parameter shapes")
         return cls(*(v.copy() for v in views))
 
 
-def _field_views(vec: np.ndarray, P: int, M: int) -> list[np.ndarray]:
-    """Views of the six fields of a flat :meth:`RawParams.to_vector`, in
-    ``RawParams._FIELDS`` order, for P rules and M inputs."""
-    views, at = [], 0
-    for shape in ((P, M), (P, M), (M,), (M,), (P, M), (P,)):
-        size = math.prod(shape)
-        views.append(vec[at:at + size].reshape(shape))
-        at += size
-    return views
-
-
-def _deviations(P: int, M: int) -> slice:
-    """Where the three deviation families sit in a flat parameter vector.
-
-    In ``RawParams._FIELDS`` order they are adjacent: the (P, M) primary
-    deviations, then the (M,) left and the (M,) right secondary ones, so
-    one elementwise call covers all three.
-    """
-    return slice(P * M, 2 * P * M + 2 * M)
-
-
 def _flat_params(theta: np.ndarray, P: int, M: int) -> ModelParams:
     """The constrained parameters of a flat :meth:`RawParams.to_vector`.
 
-    Centers and consequents are views into ``theta``, which the caller
-    must not write to while the parameters are in use; the deviations take
-    one softplus.
+    They are views into one copy of ``theta``, whose deviations take one
+    softplus.
     """
-    c, _, _, _, a, a0 = _field_views(theta, P, M)
-    sigmas = softplus(theta[_deviations(P, M)])
-    sigmas += _SOFTPLUS_FLOOR
-    return ModelParams(c=c, sigma=sigmas[:P * M].reshape(P, M),
-                       sigma_l=sigmas[P * M:P * M + M],
-                       sigma_r=sigmas[P * M + M:], a=a, a0=a0)
+    vec = theta.copy()
+    dev = vec[_deviations(P, M)]
+    dev[...] = softplus(dev)
+    dev += _SOFTPLUS_FLOOR
+    return ModelParams(*_param_views(vec, P, M))
 
 
 def init_raw(X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
@@ -349,7 +327,7 @@ def _loss_and_flat_grad(X, y, theta: np.ndarray, P: int, M: int,
     # the gradient, in the layout of theta; the deviations hold d/dsigma
     # until the softplus step at the end
     grad = np.empty(theta.size)
-    d_c, d_sigma, d_sigma_l, d_sigma_r, d_a, d_a0 = _field_views(grad, P, M)
+    d_c, d_sigma, d_sigma_l, d_sigma_r, d_a, d_a0 = _param_views(grad, P, M)
     d_sigma_l[...] = d_sigma_r[...] = 0.0
 
     # d_gamma in rule order; d_y_cons in consequent order until the end.
@@ -483,12 +461,12 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
     (data, config) pair.
 
     Adam steps on the flat vector of :meth:`RawParams.to_vector`: each
-    step's constrained parameters are views into it (one softplus covers
-    the three deviation families, which sit next to each other), and the
-    gradient is written straight into one vector of the same layout.  Each
-    epoch gathers its shuffled rows once and steps over contiguous slices
-    of them.  ``X`` and ``y`` are never written to, and no array of the
-    result shares memory with another or with the inputs.
+    step's constrained parameters are views into one copy of it (one
+    softplus covers the three deviation families, which sit next to each
+    other), and the gradient is written straight into one vector of the
+    same layout.  Each epoch gathers its shuffled rows once and steps over
+    contiguous slices of them.  ``X`` and ``y`` are never written to, and
+    no array of the result shares memory with another or with the inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -516,7 +494,7 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
-            # a new vector each step: the views of earlier steps stay valid
+            # a new vector each step: best_theta keeps its values
             theta, state = adam_step(theta, grad, state, lr=cfg.lr)
         # the shuffled copy is not needed by the full-set pass, which sets
         # the peak memory of a fit

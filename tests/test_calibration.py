@@ -294,6 +294,27 @@ class TestSearch:
             res = search_alpha(linear_coverage, cfg)
             assert res.converged and abs(res.phi_achieved - phi_d) <= 1e-3
 
+    def test_tied_probes_move_up(self):
+        # both probes improve the error of 0.5 to exactly 0.25: the upward,
+        # narrower-interval side wins
+        curve = {0.5: 1.0, 0.75: 0.25, 0.25: 0.75}
+        cfg = SearchConfig(phi_d=0.5, alpha_init=0.5, delta=0.25,
+                           epsilon=0.3)
+        res = search_alpha(curve.__getitem__, cfg)
+        assert (res.alpha_star, res.iterations, res.converged) == \
+            (0.75, 1, True)
+
+    @pytest.mark.parametrize("nan_at, move_to", [(0.25, 0.75), (0.75, 0.25)])
+    def test_nan_probe_loses_to_an_improving_probe(self, nan_at, move_to):
+        # a NaN error compares false both ways, so the finite probe that
+        # improves is taken whichever side the NaN is on
+        curve = {0.5: 1.0, 0.75: 0.25, 0.25: 0.75, nan_at: float("nan")}
+        cfg = SearchConfig(phi_d=0.5, alpha_init=0.5, delta=0.25,
+                           epsilon=0.3)
+        res = search_alpha(curve.__getitem__, cfg)
+        assert (res.alpha_star, res.iterations, res.converged) == \
+            (move_to, 1, True)
+
 
 @pytest.fixture(scope="module")
 def wide_envelope_fit():

@@ -73,6 +73,13 @@ class TestCalibrateCommand:
         assert rows[0] == ["alpha", "phi"]
         assert len(rows) == 12  # header + 11 grid points
 
+    @pytest.mark.parametrize("method", ["search", "lookup"])
+    def test_zero_delta_is_rejected(self, dataset_csv, trained_model, method):
+        code = main(["--seed", "3", "calibrate", "--model", str(trained_model[0]),
+                     "--data", str(dataset_csv), "--target", "target",
+                     "--phi-d", "0.85", "--method", method, "--delta", "0"])
+        assert code == 2
+
 
 class TestEvaluateCommand:
     def test_prints_metrics(self, capsys, dataset_csv, trained_model):
@@ -128,6 +135,23 @@ class TestReportCommand:
         assert len(rows) == 2
         assert {r["seed"] for r in rows} == {"1", "2"}
 
+    def test_csv_header_when_every_seed_fails(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        # 500 rules cannot be placed on 210 training rows
+        spec.write_text(json.dumps({
+            "data": "synthetic:300:7", "phi_d": [0.8], "seeds": [1, 2],
+            "modes": ["calibrated"], "epochs": 2, "n_rules": 500,
+        }))
+        rows_csv = tmp_path / "rows.csv"
+        code = main(["report", "--spec", str(spec), "--out-csv", str(rows_csv)])
+        assert code == 0
+        assert "seed 1 failed" in capsys.readouterr().err
+        with rows_csv.open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["dataset", "mode", "seed", "phi_d", "rmse", "picp",
+                         "pinaw", "alpha_star", "phi_achieved", "iterations",
+                         "converged"]]
+
 
 class TestUsageAndErrors:
     def test_no_subcommand_is_usage_error(self):
@@ -151,8 +175,28 @@ class TestUsageAndErrors:
         assert bundle.train_config["epochs"] == 2   # from config file
         assert bundle.params.n_rules == 3           # flag overrides config
 
+    def test_config_file_with_equals_form(self, tmp_path, dataset_csv):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("epochs = 2\nrules = 2\n")
+        out = tmp_path / "m.json"
+        code = main([f"--config={cfg}", "train", "--data", str(dataset_csv),
+                     "--target", "target", "--out", str(out)])
+        assert code == 0
+        bundle = load_model(out)
+        assert bundle.train_config["epochs"] == 2
+        assert bundle.params.n_rules == 2
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("not_a_real_option = 5\n")
         assert main(["--config", str(cfg), "train", "--data", "synthetic:50",
                      "--out", "x.json"]) == 1
+
+    def test_config_cannot_name_the_subcommand(self, tmp_path):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("command = train\n")
+        assert main(["--config", str(cfg)]) == 1
+
+    def test_config_without_a_file_is_usage_error(self, capsys):
+        assert main(["--config"]) == 1
+        assert "--config" in capsys.readouterr().err

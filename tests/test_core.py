@@ -285,6 +285,11 @@ class TestConsequents:
         m = random_model(rng, n_rules=3, n_inputs=2)
         np.testing.assert_allclose(consequent_batch(np.zeros((1, 2)), m)[0], m.a0)
 
+    def test_rejects_wrong_input_width(self):
+        m = random_model(np.random.default_rng(7), n_rules=3, n_inputs=2)
+        with pytest.raises(ValueError, match=r"expected shape \(B, 2\)"):
+            consequent_batch(np.zeros((1, 3)), m)
+
 
 class TestKarnikMendel:
     def test_single_rule_collapses(self):
