@@ -13,7 +13,7 @@ derivative-free shrinking-step search that needs no quantization choices.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     trs_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
 )
 from .errors import FlatCurveError
+from .training import ENVELOPE
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +280,6 @@ def read_calibration_curve(path) -> CalibrationTable:
 #: The search gives up once its step shrinks below this.
 _DELTA_FLOOR = 1e-4
 
-#: Coverage of the wide envelope a model is trained for; every coverage
-#: target that calibration serves lies below it.
-ENVELOPE = 0.99
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -317,9 +314,7 @@ class CalibrationResult:
     converged: bool
 
     def as_dict(self) -> dict:
-        return {"phi_d": self.phi_d, "alpha_star": self.alpha_star,
-                "phi_achieved": self.phi_achieved,
-                "iterations": self.iterations, "converged": self.converged}
+        return asdict(self)
 
 
 def search_alpha(coverage_fn, cfg: SearchConfig) -> CalibrationResult:

@@ -14,13 +14,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import (
-    ENVELOPE,
+    CalibrationResult,
     SearchConfig,
     build_lookup_table,
     calibrate_search,
@@ -42,11 +42,16 @@ from .harness import (
     split,
     synthetic_heteroscedastic,
 )
-from .training import TrainConfig, train
+from .training import ENVELOPE, TrainConfig, train
 
 
 #: Lookup grid step of ``calibrate --method lookup`` and ``curve``.
 _GRID_STEP = 0.1
+
+#: Keys that ``report`` reads from a spec: the first two are required, and
+#: a key that names a ``TrainConfig`` field sets that field of every fit.
+_SPEC_KEYS = ("data", "phi_d", "target", "name", "seeds", "modes",
+              "epochs", "minibatch", "lr", "n_rules")
 
 
 class UsageError(Exception):
@@ -58,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _dataset_options(p, split=None):
+    """--data and --target, plus --model and --split when given a split default."""
+    if split is not None:
+        p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True, help="CSV dataset (or synthetic:N)")
+    p.add_argument("--target", default=None, help="target column name or index")
+    if split is not None:
+        p.add_argument("--split", choices=["train", "calib", "test", "all"],
+                       default=split)
+
+
 def _build_parser():
     parser = _Parser(prog="gt2cal", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -66,8 +82,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("train", help="fit a model and write it as JSON")
-    p.add_argument("--data", required=True, help="CSV dataset (or synthetic:N)")
-    p.add_argument("--target", default=None, help="target column name or index")
+    _dataset_options(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--phi", type=float, default=ENVELOPE,
                        help="envelope coverage; sets a symmetric quantile pair")
@@ -83,13 +98,9 @@ def _build_parser():
     p.add_argument("--log-out", default=None, help="training log CSV")
 
     p = sub.add_parser("calibrate", help="pick the slice for a coverage target")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", default=None)
+    _dataset_options(p, split="calib")
     p.add_argument("--phi-d", type=float, required=True)
     p.add_argument("--method", choices=["search", "lookup"], default="search")
-    p.add_argument("--split", choices=["train", "calib", "test", "all"],
-                   default="calib")
     p.add_argument("--delta", type=float, default=None,
                    help="search step / lookup grid spacing")
     p.add_argument("--gamma", type=float, default=SearchConfig.gamma)
@@ -101,20 +112,12 @@ def _build_parser():
                    help="also export the sampled curve CSV (lookup method)")
 
     p = sub.add_parser("evaluate", help="score a model at a slice")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", default=None)
+    _dataset_options(p, split="test")
     p.add_argument("--alpha", type=float, default=ALPHA_MIN)
-    p.add_argument("--split", choices=["train", "calib", "test", "all"],
-                   default="test")
 
     p = sub.add_parser("curve", help="export the sampled coverage curve")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", default=None)
+    _dataset_options(p, split="calib")
     p.add_argument("--delta", type=float, default=_GRID_STEP)
-    p.add_argument("--split", choices=["train", "calib", "test", "all"],
-                   default="calib")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="run the multi-seed pipeline from a spec")
@@ -125,6 +128,7 @@ def _build_parser():
 
 
 def _read_config(path) -> dict:
+    """``key = value`` lines, values as read: argparse converts them."""
     values = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -133,19 +137,7 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key=value")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        for cast in (int, float):
-            try:
-                values[key] = cast(val)
-                break
-            except ValueError:
-                continue
-        else:
-            if val.lower() in ("true", "false"):
-                values[key] = val.lower() == "true"
-            else:
-                values[key] = val
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -183,12 +175,10 @@ def _rows_for_split(bundle_meta: dict, n_rows: int, which: str, seed: int):
 
 def _cmd_train(args) -> int:
     X, y, name = _load_dataset(args.data, args.target, args.seed)
-    if args.taus:
-        cfg = TrainConfig(tau_lo=args.taus[0], tau_hi=args.taus[1])
-    else:
-        cfg = TrainConfig.for_coverage(args.phi)
-    cfg = replace(cfg, n_rules=args.rules, epochs=args.epochs,
-                  minibatch=args.minibatch, lr=args.lr, seed=args.seed)
+    fit = dict(n_rules=args.rules, epochs=args.epochs,
+               minibatch=args.minibatch, lr=args.lr, seed=args.seed)
+    cfg = (TrainConfig(*args.taus, **fit) if args.taus
+           else TrainConfig.for_coverage(args.phi, **fit))
 
     if args.scheme == "all":
         train_rows = np.arange(X.shape[0])
@@ -237,23 +227,20 @@ def _cmd_calibrate(args) -> int:
         if args.delta is not None:
             cfg = replace(cfg, delta=args.delta)
         res = calibrate_search(bundle.params, Xz, yz, cfg)
-        record = res.as_dict()
     else:
         delta = _GRID_STEP if args.delta is None else args.delta
         table = build_lookup_table(bundle.params, Xz, yz, delta)
         hit = lookup_alpha(table, args.phi_d)
         achieved = coverage_at_alpha(bundle.params, Xz, yz, hit.alpha_star)
-        record = {"phi_d": args.phi_d, "alpha_star": hit.alpha_star,
-                  "phi_achieved": achieved, "iterations": len(table),
-                  "converged": not hit.out_of_range}
+        res = CalibrationResult(args.phi_d, hit.alpha_star, achieved,
+                                len(table), not hit.out_of_range)
         if args.curve_out:
             export_calibration_curve(table, args.curve_out)
             print(f"curve written to {args.curve_out}")
-    print(f"alpha_star {record['alpha_star']:.6f} "
-          f"phi_achieved {record['phi_achieved']:.4f} "
-          f"converged {record['converged']}")
+    print(f"alpha_star {res.alpha_star:.6f} "
+          f"phi_achieved {res.phi_achieved:.4f} converged {res.converged}")
     if args.out:
-        Path(args.out).write_text(json.dumps(record, indent=2))
+        Path(args.out).write_text(json.dumps(res.as_dict(), indent=2))
         print(f"record written to {args.out}")
     return 0
 
@@ -278,7 +265,12 @@ def _cmd_curve(args) -> int:
 
 def _cmd_report(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
-    for key in ("data", "phi_d"):
+    if not isinstance(spec, dict):
+        raise UsageError("spec must be a JSON object")
+    unknown = spec.keys() - set(_SPEC_KEYS)
+    if unknown:
+        raise UsageError(f"unknown spec keys: {sorted(unknown)}")
+    for key in _SPEC_KEYS[:2]:
         if key not in spec:
             raise UsageError(f"spec is missing required key {key!r}")
     X, y, default_name = _load_dataset(str(spec["data"]), spec.get("target"),
@@ -288,10 +280,8 @@ def _cmd_report(args) -> int:
     seeds = [int(s) for s in spec.get("seeds", [1, 2, 3, 4, 5])]
     modes = spec.get("modes", ["calibrated", "direct"])
 
-    cfg = TrainConfig()
-    for key in ("epochs", "minibatch", "lr", "n_rules"):
-        if key in spec:
-            cfg = replace(cfg, **{key: spec[key]})
+    cfg = TrainConfig(**{f.name: spec[f.name] for f in fields(TrainConfig)
+                         if f.name in spec})
 
     reports = []
     for mode in modes:
@@ -324,13 +314,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise UsageError("a subcommand is required")
         if args.config is not None:
             # the file's values become defaults, and a second parse lets
             # explicit flags override them
             defaults = _read_config(args.config)
             parsers = (parser, *children.values())
-            # options only: a "command" key would pick a subcommand
-            dests = [{a.dest for a in p._actions if a.option_strings}
+            # one-value options only: a "command" key would pick a
+            # subcommand, and a config value is one string, not --taus's two
+            dests = [{a.dest for a in p._actions
+                      if a.option_strings and a.nargs is None}
                      for p in parsers]
             unknown = set(defaults).difference(*dests)
             if unknown:
@@ -339,8 +333,15 @@ def main(argv=None) -> int:
                 p.set_defaults(**{k: v for k, v in defaults.items()
                                   if k in known})
             args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required")
+            # argparse converts a string default with its option's type but
+            # checks choices only on the command line
+            sub = children[args.command]
+            for action in sub._actions:
+                if action.dest in defaults:
+                    try:
+                        sub._check_value(action, getattr(args, action.dest))
+                    except argparse.ArgumentError as exc:
+                        sub.error(str(exc))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -291,10 +291,12 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
             raise ValueError(f"per-row alpha of shape {k.shape} does not match "
                              f"memberships of shape {gamma.shape}")
         k = k[:, None, None]
-    upper = gamma + k * params.sigma_r
-    np.minimum(upper, 1.0, out=upper)
-    lower = gamma - k * params.sigma_l
-    np.maximum(lower, 0.0, out=lower)
+    # a spread too large for a float is inf, and the clamp gives its bound
+    with np.errstate(over="ignore"):
+        upper = gamma + k * params.sigma_r
+        np.minimum(upper, 1.0, out=upper)
+        lower = gamma - k * params.sigma_l
+        np.maximum(lower, 0.0, out=lower)
     return lower, upper
 
 

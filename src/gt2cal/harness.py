@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import ENVELOPE, SearchConfig, calibrate_search, picp, pinaw
+from .calibration import SearchConfig, calibrate_search, picp, pinaw
 from .core import _PARAM_FIELDS, ALPHA_MIN, ModelParams, predict_batch
 from .errors import DegenerateFiringError, DivergenceError, SchemaError
-from .training import TrainConfig, train
+from .training import ENVELOPE, TrainConfig, train
 
 SCHEMA_VERSION = 1
 _SPLIT_SCHEMES = {"70/15/15": (0.70, 0.15, 0.15), "85/15": (0.85, 0.0, 0.15)}
@@ -435,11 +435,7 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
         cal = calibrate_search(fitted.params, Xcal, ycal, scfg)
         metrics = interval_metrics(fitted.params, Xte, yte, cal.alpha_star,
                                    cfg.planes)
-        runs.append(SeedRun(seed=seed, phi_d=phi_d,
-                            alpha_star=cal.alpha_star,
-                            phi_achieved=cal.phi_achieved,
-                            iterations=cal.iterations,
-                            converged=cal.converged, **metrics))
+        runs.append(SeedRun(seed=seed, **cal.as_dict(), **metrics))
     return runs
 
 

@@ -83,6 +83,11 @@ class TrainConfig:
         return cls(tau_lo=half_tail, tau_hi=1.0 - half_tail, **overrides)
 
 
+#: Coverage of the default wide envelope, 0.99 exactly; every coverage
+#: target that calibration serves lies below it.
+ENVELOPE = TrainConfig.tau_hi - TrainConfig.tau_lo
+
+
 # ---------------------------------------------------------------------------
 # Unconstrained parameterization
 # ---------------------------------------------------------------------------

@@ -135,6 +135,20 @@ class TestReportCommand:
         assert len(rows) == 2
         assert {r["seed"] for r in rows} == {"1", "2"}
 
+    @pytest.mark.parametrize("doc, named", [
+        # the flag is --rules, but the spec key is n_rules
+        ({"data": "synthetic:300:7", "phi_d": [0.8], "seeds": [1],
+          "modes": ["direct"], "epochs": 1, "rules": 500}, "'rules'"),
+        (["data", "phi_d"], "JSON object"),
+    ])
+    def test_malformed_spec_is_usage_error(self, tmp_path, capsys, doc, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["report", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_csv_header_when_every_seed_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         # 500 rules cannot be placed on 210 training rows
@@ -200,3 +214,53 @@ class TestUsageAndErrors:
     def test_config_without_a_file_is_usage_error(self, capsys):
         assert main(["--config"]) == 1
         assert "--config" in capsys.readouterr().err
+
+
+class TestConfigValues:
+    """A config value is converted and checked exactly as its flag is."""
+
+    @pytest.mark.parametrize("line", ["epochs = true", "epochs = 2.0",
+                                      "rules = 2.5", "minibatch = 1e2"])
+    def test_bad_train_value_is_usage_error(self, tmp_path, dataset_csv, line):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "m.json"
+        code = main(["--config", str(cfg), "train", "--data", str(dataset_csv),
+                     "--target", "target", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, command", [
+        ("method = serch", ["calibrate", "--phi-d", "0.85"]),
+        ("split = tst", ["evaluate"]),
+    ])
+    def test_bad_choice_is_usage_error(self, tmp_path, capsys, dataset_csv,
+                                       trained_model, line, command):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n")
+        code = main(["--config", str(cfg), "--seed", "3", *command,
+                     "--model", str(trained_model[0]), "--data", str(dataset_csv),
+                     "--target", "target"])
+        assert code == 1
+        bad = line.split(" = ")[1]
+        assert f"invalid choice: '{bad}'" in capsys.readouterr().err
+
+    def test_choice_from_config_equals_the_flag(self, tmp_path, capsys,
+                                                dataset_csv, trained_model):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("split = calib\nalpha = 0.3\n")
+        base = ["--seed", "3", "evaluate", "--model", str(trained_model[0]),
+                "--data", str(dataset_csv), "--target", "target"]
+        assert main(["--config", str(cfg), *base]) == 0
+        from_config = capsys.readouterr().out
+        assert main([*base, "--split", "calib", "--alpha", "0.3"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_multi_value_option_is_not_a_config_key(self, tmp_path, dataset_csv):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("taus = 0.1\n")
+        out = tmp_path / "m.json"
+        code = main(["--config", str(cfg), "train", "--data", str(dataset_csv),
+                     "--target", "target", "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()

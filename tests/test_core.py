@@ -202,6 +202,29 @@ class TestSecondaryBounds:
         with pytest.raises(ValueError):
             smf_bounds(np.array([[0.5]]), 0.005, m)
 
+    # k * 1e308 overflows to inf, and the clamp gives the bound that any
+    # spread this wide gives: every lower grade 0, every upper grade 1
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_l, sigma_r", [(1e308, 10.0), (10.0, 1e308)])
+    def test_spread_too_large_for_a_float_is_silent(self, sigma_l, sigma_r):
+        X = np.zeros((1, 1))
+        got = predict_batch(X, 0.37, one_input_model([0.0, 0.0], [1.0, 2.0],
+                                                     sigma_l, sigma_r))
+        assert (got[0][0], got[1][0]) == (1.0, 2.0)
+        assert got[2][0] == pytest.approx(1.5, rel=1e-15)
+        wide = one_input_model([0.0, 0.0], [1.0, 2.0], 10.0, 10.0)
+        for g, want in zip(got, predict_batch(X, 0.37, wide)):
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_l, sigma_r", [(1e308, 10.0), (10.0, 1e308)])
+    def test_spread_too_large_for_a_float_per_row_alpha(self, sigma_l, sigma_r):
+        m = one_input_model([0.0, 0.0], [1.0, 2.0], sigma_l, sigma_r)
+        terms = batch_terms(np.zeros((3, 1)), m)
+        s = slice_forward(terms, np.array([0.37, 0.01, 0.5]), m)
+        assert np.all(s.lower == 0.0) and np.all(s.upper == 1.0)
+        assert s.lo.tolist() == [1.0] * 3 and s.hi.tolist() == [2.0] * 3
+
 
 class TestFiring:
     def test_single_dimension_equals_membership_bounds(self):

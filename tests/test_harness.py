@@ -289,6 +289,7 @@ def saved_model(tmp_path_factory):
 class TestModelFileFuzz:
     """A model file either fails to load with SchemaError, or it runs."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_loads_and_runs_or_is_rejected(self, saved_model, data):

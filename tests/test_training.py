@@ -113,6 +113,11 @@ class TestTrainConfig:
         assert TrainConfig.for_coverage(0.95).tau_lo == pytest.approx(0.025)
         assert TrainConfig.for_coverage(0.99).tau_hi == pytest.approx(0.995)
 
+    def test_envelope_is_the_default_quantile_pair(self):
+        from gt2cal.training import ENVELOPE
+
+        assert ENVELOPE == 0.99 == TrainConfig().tau_hi - TrainConfig().tau_lo
+
     @pytest.mark.parametrize("kw", [
         {"tau_lo": 0.6}, {"tau_hi": 0.4}, {"minibatch": 0},
         {"n_rules": 0}, {"point_output": "typo"},
