@@ -4,8 +4,9 @@
 One ``name sha256`` line per output: trained parameters and per-epoch
 history (also with a one-row last minibatch), loss and gradient,
 piece signatures, batched prediction over one and several row blocks and
-at every slice grouping, single-row prediction, search calibration,
-the lookup table, one-slice bounds and coverage, and the Karnik-Mendel
+at every slice grouping, single-row prediction, search calibration (also
+down to the step floor and from both ends of the slice range), the
+lookup table, one-slice bounds and coverage, and the Karnik-Mendel
 switch counts and weight totals of one slice (also for a 1-rule model,
 a 2-rule model with tied consequents and more than 1024 rows), all on
 seeded synthetic data (4 inputs, 10 rules) made here with numpy alone.
@@ -113,9 +114,19 @@ def main():
              *predict_batch(Xc[:n_rows], 0.37, params))
     emit("predict.rows0-4", [predict(x, 0.37, params) for x in Xc[:5]])
 
-    for phi_d in (0.80, 0.85, 0.90, 0.95):
-        r = calibrate_search(params, Xc, yc, SearchConfig(phi_d=phi_d))
-        emit(f"calibrate_search.{phi_d:.2f}",
+    searches = {f"{phi_d:.2f}": SearchConfig(phi_d=phi_d)
+                for phi_d in (0.80, 0.85, 0.90, 0.95)}
+    # targets off the 1/400 coverage steps: each search runs down to the
+    # step floor, where late probes find every row decided
+    searches.update({f"{phi_d}-eps1e-4": SearchConfig(phi_d=phi_d,
+                                                     epsilon=1e-4)
+                     for phi_d in (0.5013, 0.9013, 0.31)})
+    # starts at both ends of the slice range
+    searches.update({f"0.90-init{a}": SearchConfig(phi_d=0.9, alpha_init=a)
+                     for a in (0.01, 1.0)})
+    for name, cfg in searches.items():
+        r = calibrate_search(params, Xc, yc, cfg)
+        emit(f"calibrate_search.{name}",
              [r.alpha_star, r.phi_achieved, r.iterations, float(r.converged)])
 
     # 100, 21 and 332 grid points: bisections of 7, 5 and 9 passes

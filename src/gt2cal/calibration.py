@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     ALPHA_MIN,
+    BatchTerms,
     ModelParams,
     batch_terms,
     slice_forward,
@@ -86,13 +87,22 @@ def _coverage_oracle(params: ModelParams, X, y):
     ``alpha`` is one level or a (Q,) array with one level per row.  Every
     slice picker probes through one oracle per dataset; the mean of a
     probe is :func:`picp` of it.
+
+    Given an index array ``rows``, a call runs its slice on those rows'
+    terms alone and returns their booleans, in ``rows`` order (an array
+    ``alpha`` then has one level per entry of ``rows``); a
+    :class:`DegenerateFiringError` names the row's index in ``X``.
     """
     terms = batch_terms(X, params)
     y = _checked_targets(y, terms.y.shape[0], "coverage")
 
-    def covered(alpha) -> np.ndarray:
-        s = slice_forward(terms, alpha, params)
-        return (s.lo <= y) & (y <= s.hi)
+    def covered(alpha, rows=None) -> np.ndarray:
+        if rows is None:
+            s = slice_forward(terms, alpha, params)
+            return (s.lo <= y) & (y <= s.hi)
+        s = slice_forward(BatchTerms(*(t[rows] for t in terms)), alpha,
+                          params, first_row=rows)
+        return (s.lo <= y[rows]) & (y[rows] <= s.hi)
 
     return covered
 
@@ -375,8 +385,19 @@ def calibrate_search(params: ModelParams, X, y,
 
     An unset tolerance defaults to max(0.005, 1/Q): empirical coverage on Q
     points moves in steps of 1/Q, so a finer tolerance is unreachable.
-    The search often probes an alpha again (after a move, the opposite
-    probe is the previous point), so each distinct alpha runs one slice.
+
+    Each distinct alpha runs one slice (after a move, the opposite probe
+    is the previous point), and only over the rows its earlier probes
+    leave open.  Intervals nest as alpha grows, so a row covered at the
+    nearest probed alpha above is covered here, and a row missed at the
+    nearest probed alpha below is missed here; the first probe evaluates
+    every row.  Probe coverage is thus non-increasing in alpha by
+    construction.  Where every row's coverage nests, each probe equals
+    :func:`coverage_at_alpha`; a target within rounding of a bound that
+    moves by an ulp between slices can break nesting, and such a row then
+    takes its neighbours' value.  The firing check sees only the rows a
+    probe evaluates, so a row outside every rule's support at a slice
+    raises only if that slice evaluates it.
     """
     if cfg.epsilon is None:
         q = np.size(y)
@@ -384,11 +405,30 @@ def calibrate_search(params: ModelParams, X, y,
             raise ValueError("calibration set is empty")
         cfg = replace(cfg, epsilon=max(0.005, 1.0 / q))
     covered = _coverage_oracle(params, X, y)
-    seen = {}
+    probed = {}  # alpha -> (Q,) coverage booleans
 
     def coverage(alpha: float) -> float:
-        if alpha not in seen:
-            seen[alpha] = float(np.mean(covered(alpha)))
-        return seen[alpha]
+        if alpha not in probed:
+            probed[alpha] = _nested_probe(covered, probed, alpha)
+        return float(np.mean(probed[alpha]))
 
     return search_alpha(coverage, cfg)
+
+
+def _nested_probe(covered, probed: dict, alpha: float) -> np.ndarray:
+    """The coverage booleans at a new ``alpha``, from its probed neighbours.
+
+    Starts from the booleans of the nearest probed alpha above and runs
+    one slice over the rows covered at the nearest probed alpha below and
+    not above (every row where there is no such alpha).
+    """
+    if not probed:
+        return covered(alpha)
+    above = min((a for a in probed if a > alpha), default=None)
+    below = max((a for a in probed if a < alpha), default=None)
+    q = len(next(iter(probed.values())))
+    hit = np.zeros(q, bool) if above is None else probed[above].copy()
+    open_rows = ~hit if below is None else probed[below] & ~hit
+    rows = np.flatnonzero(open_rows)
+    hit[rows] = covered(alpha, rows)
+    return hit

@@ -273,6 +273,13 @@ def _cmd_report(args) -> int:
     for key in _SPEC_KEYS[:2]:
         if key not in spec:
             raise UsageError(f"spec is missing required key {key!r}")
+    train_keys = [f.name for f in fields(TrainConfig) if f.name in spec]
+    for key in train_keys:
+        # a float field takes any JSON number, an int field only an integer
+        value, kind = spec[key], type(getattr(TrainConfig, key))
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            noun = "an integer" if kind is int else "a number"
+            raise UsageError(f"spec key {key!r} must be {noun}, got {value!r}")
     X, y, default_name = _load_dataset(str(spec["data"]), spec.get("target"),
                                        args.seed)
     name = spec.get("name", default_name)
@@ -280,8 +287,7 @@ def _cmd_report(args) -> int:
     seeds = [int(s) for s in spec.get("seeds", [1, 2, 3, 4, 5])]
     modes = spec.get("modes", ["calibrated", "direct"])
 
-    cfg = TrainConfig(**{f.name: spec[f.name] for f in fields(TrainConfig)
-                         if f.name in spec})
+    cfg = TrainConfig(**{key: spec[key] for key in train_keys})
 
     reports = []
     for mode in modes:

@@ -10,7 +10,7 @@ class FlatCurveError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)

@@ -499,6 +499,10 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
+            if not np.isfinite(grad).all():
+                raise DivergenceError(
+                    f"non-finite minibatch gradient at epoch {epoch}",
+                    epoch=epoch)
             # a new vector each step: best_theta keeps its values
             theta, state = adam_step(theta, grad, state, lr=cfg.lr)
         # the shuffled copy is not needed by the full-set pass, which sets

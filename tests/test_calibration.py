@@ -20,6 +20,7 @@ from gt2cal.calibration import (
     pinaw,
     read_calibration_curve,
     search_alpha,
+    _coverage_oracle,
     _isotonic_decreasing,
 )
 from gt2cal.core import ModelParams, trs_batch
@@ -407,6 +408,20 @@ class TestCoverageOracle:
         assert sorted(calls) == sorted(set(probes))
         assert len(calls) < len(probes)
 
+    @pytest.mark.parametrize("phi_d", [0.3, 0.6, 0.9])
+    def test_search_evaluates_only_open_rows(self, calib, phi_d, monkeypatch):
+        m, X, y = calib
+        rows = []
+
+        def counting(terms, alpha, params, first_row=0):
+            rows.append(len(terms.y))
+            return gt2cal.core.slice_forward(terms, alpha, params, first_row)
+
+        monkeypatch.setattr(gt2cal.calibration, "slice_forward", counting)
+        calibrate_search(m, X, y, SearchConfig(phi_d=phi_d))
+        assert rows[0] == y.size
+        assert len(rows) > 1 and sum(rows) < len(rows) * y.size
+
     def test_memberships_computed_once_per_picker(self, calib, monkeypatch):
         m, X, y = calib
         calls = []
@@ -422,6 +437,85 @@ class TestCoverageOracle:
         calls.clear()
         build_lookup_table(m, X, y, 0.01)
         assert len(calls) == 1
+
+
+class TestNestedSearch:
+    """The search evaluates only the rows its earlier probes leave open."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_per_probe_search(self, data):
+        P = data.draw(st.integers(1, 8), label="P")
+        M = data.draw(st.integers(1, 5), label="M")
+        Q = data.draw(st.integers(1, 300), label="Q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = random_model(rng, n_rules=P, n_inputs=M)
+        X = rng.normal(size=(Q, M))
+        # each row's target: noise, or on a bound of a slice the search
+        # probes early (covered down to that slice, up to rounding)
+        at = data.draw(st.sampled_from([0.01, 0.25, 0.5, 0.75, 1.0]),
+                       label="bound")
+        lo, hi = trs_batch(X, at, m)
+        on_bound = rng.random(Q) < 0.5
+        y = np.where(on_bound, np.where(rng.random(Q) < 0.5, lo, hi),
+                     rng.normal(size=Q))
+        phi_d = data.draw(st.floats(0.02, 0.98), label="phi_d")
+        cfg = SearchConfig(phi_d=phi_d)
+
+        probes = {}
+        real = gt2cal.calibration.search_alpha
+
+        def spy(coverage_fn, cfg):
+            def coverage(alpha):
+                probes[alpha] = coverage_fn(alpha)
+                return probes[alpha]
+            return real(coverage_fn=coverage, cfg=cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gt2cal.calibration, "search_alpha", spy)
+            got = calibrate_search(m, X, y, cfg)
+        alphas = sorted(probes)
+        assert np.all(np.diff([probes[a] for a in alphas]) <= 0.0)
+
+        hits = np.array([(lo <= y) & (y <= hi)
+                         for lo, hi in (trs_batch(X, a, m) for a in alphas)]).T
+        unnested = np.any(np.diff(hits.astype(int), axis=1) > 0, axis=1)
+        if not np.any(unnested):
+            eps = replace(cfg, epsilon=max(0.005, 1.0 / Q))
+            want = search_alpha(lambda a: coverage_at_alpha(m, X, y, a), eps)
+            assert got == want
+        else:
+            direct = coverage_at_alpha(m, X, y, got.alpha_star)
+            assert abs(got.phi_achieved - direct) <= unnested.sum() / Q
+
+    @staticmethod
+    def one_rule_model():
+        return ModelParams(c=np.zeros((1, 1)), sigma=np.full((1, 1), 0.01),
+                           sigma_l=np.full(1, 1e-9), sigma_r=np.full(1, 1e-9),
+                           a=np.zeros((1, 1)), a0=np.zeros(1))
+
+    def test_row_outside_every_rule_raises(self):
+        X = np.zeros((50, 1))
+        X[37] = 100.0
+        # every row's interval is [0, 0]: the first ten rows are never
+        # covered, so a later probe evaluates only the other forty
+        y = np.where(np.arange(50) < 10, 1.0, 0.0)
+        # only the top slice sees row 37 outside every rule's support
+        cfg = SearchConfig(phi_d=0.5, alpha_init=1.0)
+        with pytest.raises(DegenerateFiringError, match="input row 37 "):
+            calibrate_search(self.one_rule_model(), X, y, cfg)
+        cfg = SearchConfig(phi_d=0.5, alpha_init=0.5, delta=0.5)
+        with pytest.raises(DegenerateFiringError, match="input row 37 "):
+            calibrate_search(self.one_rule_model(), X, y, cfg)
+
+    def test_rows_path_names_the_callers_row(self):
+        X = np.zeros((50, 1))
+        X[37] = 100.0
+        covered = _coverage_oracle(self.one_rule_model(), X, np.zeros(50))
+        np.testing.assert_array_equal(covered(1.0, np.array([4, 9])),
+                                      [True, True])
+        with pytest.raises(DegenerateFiringError, match="input row 37 "):
+            covered(1.0, np.array([4, 37, 9]))
 
 
 class TestNonFiniteTargets:

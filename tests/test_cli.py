@@ -149,6 +149,19 @@ class TestReportCommand:
         assert named in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "2"), ("epochs", 2.5), ("epochs", True), ("lr", "0.01")])
+    def test_spec_value_of_the_wrong_type_is_usage_error(self, tmp_path,
+                                                         capsys, key, value):
+        spec = tmp_path / "spec.json"
+        doc = {"data": "synthetic:300:7", "phi_d": [0.8], "seeds": [1],
+               "modes": ["direct"], "epochs": 1}
+        spec.write_text(json.dumps({**doc, key: value}))
+        assert main(["report", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert f"spec key {key!r}" in captured.err
+        assert captured.out == ""
+
     def test_csv_header_when_every_seed_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         # 500 rules cannot be placed on 210 training rows

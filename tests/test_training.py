@@ -389,6 +389,24 @@ class TestTraining:
             train(Xz, yz, cfg)
         assert exc.value.epoch == 1
 
+    def test_non_finite_gradient_is_divergence(self):
+        # 12 inputs at default settings: a step's loss stays finite while
+        # its gradient does not (a subnormal Karnik-Mendel denominator)
+        from gt2cal.harness import NormalizationStats, split
+        rng = np.random.default_rng(0)
+        n, M = 4000, 12
+        X = rng.normal(size=(n, M))
+        w = rng.normal(size=M)
+        noise = (0.2 + 0.3 * np.abs(X[:, 1])) * rng.normal(size=n)
+        y = X @ w + np.sin(X[:, 0]) + noise
+        train_rows = split(n, "70/15/15", seed=0).train
+        stats = NormalizationStats.fit(X[train_rows], y[train_rows])
+        Xz, yz = stats.apply(X[train_rows], y[train_rows])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="gradient") as exc:
+            train(Xz, yz, TrainConfig(seed=0))
+        assert exc.value.epoch == 1
+
     def test_init_uses_training_rows(self):
         X, y = heteroscedastic_line(50, seed=6)
         cfg = TrainConfig(n_rules=4, seed=3)
