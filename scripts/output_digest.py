@@ -10,8 +10,12 @@ lookup table, one-slice bounds and coverage, and the Karnik-Mendel
 switch counts and weight totals of one slice (also for a 1-rule model,
 a 2-rule model with tied consequents and more than 1024 rows), all on
 seeded synthetic data (4 inputs, 10 rules) made here with numpy alone.
-Run it on two commits and diff the outputs: equal lines mean
-bit-identical results.
+Two more models check what 4 inputs cannot: a seeded 12-input model,
+whose t-norm adds 12 log-factors per rule (one slice, batched prediction
+at 3 and 1025 rows, one search), and the trained model with consequents
+scaled to reach 2**600 on half of the rows, whose Karnik-Mendel sums and
+point run scaled.  Run it on two commits and diff the outputs: equal
+lines mean bit-identical results.
 
 Usage: python scripts/output_digest.py
 """
@@ -159,6 +163,51 @@ def main():
     s = slice_forward(batch_terms(np.vstack([X, Xc]), params), 0.37, params)
     emit("slice_forward.all-rows.alpha0.37", s.lo, s.hi, s.km.L, s.km.R,
          s.km.den_lo, s.km.den_hi)
+
+    m12, X12, y12 = wide_model(SEED)
+    s = slice_forward(batch_terms(X12, m12), 0.37, m12)
+    emit("slice_forward.12-inputs.alpha0.37", s.lo, s.hi, s.km.L, s.km.R,
+         s.km.den_lo, s.km.den_hi)
+    for n_rows in (3, 1025):
+        emit(f"predict_batch.12-inputs.rows{n_rows}",
+             *predict_batch(X12[:n_rows], 0.37, m12))
+    r = calibrate_search(m12, X12, y12, SearchConfig(phi_d=0.8))
+    emit("calibrate_search.12-inputs.0.80",
+         [r.alpha_star, r.phi_achieved, r.iterations, float(r.converged)])
+
+    # consequent slope 2**600 on input 0 of rule 0, and input 0 zeroed in
+    # every other row: half of the rows reach 2**600, half stay small
+    big = ModelParams(c=p.c, sigma=p.sigma, sigma_l=p.sigma_l,
+                      sigma_r=p.sigma_r, a=p.a.copy(), a0=p.a0)
+    big.a[0, 0] = 2.0 ** 600
+    Xbig = Xc.copy()
+    Xbig[::2, 0] = 0.0
+    for alpha in (0.01, 0.37, 1.0):
+        s = slice_forward(batch_terms(Xbig, big), alpha, big)
+        emit(f"slice_forward.2**600.alpha{alpha}", s.lo, s.hi, s.km.L,
+             s.km.R, s.km.den_lo, s.km.den_hi)
+    emit("predict_batch.2**600", *predict_batch(Xbig, 0.37, big))
+    emit("predict.2**600.row1", predict(Xbig[1], 0.37, big))
+
+
+def wide_model(seed, n_inputs=12, n_rules=10, n_rows=1025):
+    """A seeded 12-input rule base, inputs, and targets around its point.
+
+    Primary deviations of 2 to 3 keep a product of 12 memberships well
+    above the firing threshold; no training is involved.  With unit noise
+    on the targets, a search for 0.80 coverage converges inside the slice
+    range.
+    """
+    rng = np.random.default_rng(seed)
+    P, M = n_rules, n_inputs
+    m = ModelParams(c=rng.normal(size=(P, M)),
+                    sigma=2.0 + rng.random((P, M)),
+                    sigma_l=0.05 + 0.3 * rng.random(M),
+                    sigma_r=0.05 + 0.3 * rng.random(M),
+                    a=0.3 * rng.normal(size=(P, M)), a0=rng.normal(size=P))
+    X = rng.normal(size=(n_rows, M))
+    point = predict_batch(X, 1.0, m)[2]
+    return m, X, point + rng.normal(size=n_rows)
 
 
 if __name__ == "__main__":

@@ -94,13 +94,15 @@ def _coverage_oracle(params: ModelParams, X, y):
     :class:`DegenerateFiringError` names the row's index in ``X``.
     """
     terms = batch_terms(X, params)
-    y = _checked_targets(y, terms.y.shape[0], "coverage")
+    y = _checked_targets(y, terms.y.shape[1], "coverage")
 
     def covered(alpha, rows=None) -> np.ndarray:
         if rows is None:
             s = slice_forward(terms, alpha, params)
             return (s.lo <= y) & (y <= s.hi)
-        s = slice_forward(BatchTerms(*(t[rows] for t in terms)), alpha,
+        # the terms keep their rows on the last axis
+        s = slice_forward(BatchTerms(*(np.take(t, rows, axis=-1)
+                                       for t in terms)), alpha,
                           params, first_row=rows)
         return (s.lo <= y[rows]) & (y[rows] <= s.hi)
 

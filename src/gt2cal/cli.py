@@ -280,14 +280,18 @@ def _cmd_report(args) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             noun = "an integer" if kind is int else "a number"
             raise UsageError(f"spec key {key!r} must be {noun}, got {value!r}")
+    # a value of the right type can still be out of range, such as
+    # "lr": NaN, which Python's json reads as a float
+    try:
+        cfg = TrainConfig(**{key: spec[key] for key in train_keys})
+    except ValueError as exc:
+        raise UsageError(f"spec: {exc}") from None
     X, y, default_name = _load_dataset(str(spec["data"]), spec.get("target"),
                                        args.seed)
     name = spec.get("name", default_name)
     phi_ds = [float(p) for p in np.atleast_1d(spec["phi_d"])]
     seeds = [int(s) for s in spec.get("seeds", [1, 2, 3, 4, 5])]
     modes = spec.get("modes", ["calibrated", "direct"])
-
-    cfg = TrainConfig(**{key: spec[key] for key in train_keys})
 
     reports = []
     for mode in modes:

@@ -8,6 +8,18 @@ every rule fires over an interval, Karnik-Mendel type reduction turns the
 rule firings into an output interval ``[lo, hi]``, and averaging reduced
 intervals over a stack of alpha levels gives the crisp point output.
 
+The slice path keeps its arrays input-major, with the rows of the batch
+on the last, contiguous axis: memberships and their bounds are
+(M, P, B), rule firings and sorted consequents (P, B), and the
+Karnik-Mendel workspace is candidate-major, (P+1, 2, 4, B).  Every sum
+of a slice then runs down its first axis, one contiguous B-long slab per
+add: the t-norm adds one slab per input and the reduction one per switch
+candidate, and neither transposes its inputs.  Each add is the one the
+(B, P, M) layout made, in the same order, so the outputs are the same to
+the bit.  The public batch functions (:func:`pmf_batch`,
+:func:`firing_batch`, :func:`km_reduce_batch`) keep their row-major
+shapes.
+
 All functions here are pure; :class:`ModelParams` is treated as immutable,
 so inference may run concurrently across inputs and alpha levels.
 """
@@ -38,7 +50,7 @@ FIRING_EPS = 1e-15
 _LOG_FLOOR = 1e-300
 
 #: Most rows, or stacked (row, slice) pairs, one slice call of
-#: :func:`predict_batch` holds, so that each (rows, P, M) slice temporary
+#: :func:`predict_batch` holds, so that each (M, P, rows) slice temporary
 #: stays within L2 cache for typical rule bases; also the most rows one
 #: Karnik-Mendel workspace holds.
 _ROW_BLOCK = 1024
@@ -245,13 +257,19 @@ def pmf_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
 
     Returns
     -------
-    (B, P, M) array of Gaussian memberships in (0, 1].
+    (B, P, M) array of Gaussian memberships in (0, 1].  It is the
+    transpose of an input-major array: its ``.T``, (M, P, B), is
+    contiguous.
     """
     X = _checked_inputs(X, params)
+    # every factor input-major and contiguous, so that numpy lays each
+    # temporary out as (M, P, B) too
+    x, c, sigma = (np.ascontiguousarray(a.T) for a in (X, params.c,
+                                                       params.sigma))
     # a distance or ratio too large for a float has membership 0 all the same
     with np.errstate(over="ignore"):
-        d = X[:, None, :] - params.c[None, :, :]
-        return np.exp(-0.5 * (d / params.sigma[None, :, :]) ** 2)
+        d = x[:, None, :] - c[:, :, None]
+        return np.exp(-0.5 * (d / sigma[:, :, None]) ** 2).T
 
 
 def _checked_inputs(X, params: ModelParams) -> np.ndarray:
@@ -275,9 +293,10 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
 
     Parameters
     ----------
-    gamma : (..., P, M) array of primary memberships, one matrix per input.
-    alpha : one slice level, or a (B,) array with one level per input of a
-        (B, P, M) ``gamma``.
+    gamma : (M, ...) array of primary memberships, input axis first, such
+        as the (M, P, B) memberships of :class:`BatchTerms`.
+    alpha : one slice level, or a (B,) array with one level per row of an
+        (M, P, B) ``gamma``.
 
     Returns
     -------
@@ -286,16 +305,18 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
     """
     k = spread_scale(alpha)
     gamma = np.asarray(gamma, dtype=float)
-    if isinstance(k, np.ndarray):
-        if gamma.ndim != 3 or k.shape != gamma.shape[:1]:
-            raise ValueError(f"per-row alpha of shape {k.shape} does not match "
-                             f"memberships of shape {gamma.shape}")
-        k = k[:, None, None]
+    if isinstance(k, np.ndarray) and (gamma.ndim != 3
+                                      or k.shape != gamma.shape[2:]):
+        raise ValueError(f"per-row alpha of shape {k.shape} does not match "
+                         f"memberships of shape {gamma.shape}")
+    # one spread per input, down the first axis; per-row levels broadcast
+    # along the last
+    per_input = (-1,) + (1,) * (gamma.ndim - 1)
     # a spread too large for a float is inf, and the clamp gives its bound
     with np.errstate(over="ignore"):
-        upper = gamma + k * params.sigma_r
+        upper = gamma + params.sigma_r.reshape(per_input) * k
         np.minimum(upper, 1.0, out=upper)
-        lower = gamma - k * params.sigma_l
+        lower = gamma - params.sigma_l.reshape(per_input) * k
         np.maximum(lower, 0.0, out=lower)
     return lower, upper
 
@@ -305,17 +326,20 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _product_tnorm(mu: np.ndarray) -> np.ndarray:
-    """Product over the last axis, in the log domain to survive high M.
+    """Product over the first (input) axis, in the log domain to survive
+    high M.
 
-    The M log-factors are added left to right with in-place adds rather
-    than by a reduction over the short last axis, which costs several times
-    more per call.  ``mu`` is never written to: callers keep it.
+    The M log-factors are added in input order, one in-place add of a
+    contiguous slab per input.  Each slab is floored and logged on its
+    own, so that no temporary is as large as ``mu``: a slice's peak memory
+    stays that of its bounds.  ``mu`` is never written to: callers keep
+    it.
     """
-    logs = np.maximum(mu, _LOG_FLOOR)
-    np.log(logs, out=logs)
-    total = logs[..., 0].copy()
-    for m in range(1, logs.shape[-1]):
-        total += logs[..., m]
+    total = np.maximum(mu[0], _LOG_FLOOR)
+    np.log(total, out=total)
+    for m in range(1, len(mu)):
+        logs = np.maximum(mu[m], _LOG_FLOOR)
+        total += np.log(logs, out=logs)
     return np.exp(total, out=total)
 
 
@@ -333,26 +357,35 @@ def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
     DegenerateFiringError
         If some input fires every rule at numerically zero strength.
     """
-    gamma = pmf_batch(X, params)
-    lower, upper = smf_bounds(gamma, alpha, params)
+    lower, upper = smf_bounds(pmf_batch(X, params).T, alpha, params)
     f_upper = _product_tnorm(upper)
     _check_firing(f_upper)
-    return _product_tnorm(lower), f_upper
+    return _product_tnorm(lower).T, f_upper.T
 
 
 def _check_firing(f_upper: np.ndarray,
                   first_row: int | np.ndarray = 0) -> None:
-    """Raise unless some rule fires in every row of a (B, P) firing array.
+    """Raise unless some rule fires in every row of a (P, B) firing array.
 
     ``first_row`` is the index of the array's first row in the caller's
     batch, or a (B,) array of each row's index there, so that the error
     names the row the caller passed.
+
+    A row's total adds its rules in the order of a (B, P) array's row sum,
+    so that the verdict and the message do not depend on the layout.  The
+    sum down the rule axis adds them in another order; the firings are not
+    negative, so it is within a few ulps of that total, and only the rows
+    it puts near the threshold are summed again.
     """
-    total = f_upper.sum(axis=1)
+    near = np.flatnonzero(f_upper.sum(axis=0) < 2.0 * FIRING_EPS)
+    if near.size == 0:
+        return
+    total = np.ascontiguousarray(f_upper[:, near].T).sum(axis=1)
     if np.any(total < FIRING_EPS):
         idx = int(np.argmax(total < FIRING_EPS))
-        row = (int(first_row[idx]) if isinstance(first_row, np.ndarray)
-               else first_row + idx)
+        at = int(near[idx])
+        row = (int(first_row[at]) if isinstance(first_row, np.ndarray)
+               else first_row + at)
         raise DegenerateFiringError(
             f"input row {row} lies outside the support of every rule "
             f"(total upper firing {total[idx]:.3e} < {FIRING_EPS:.0e})")
@@ -380,13 +413,14 @@ class KMInternals:
     """Switch-point bookkeeping needed to backpropagate through reduction.
 
     ``order`` maps sorted position -> original rule index, with rules sorted
-    by ascending consequent value.  Each interval end has a switch count and
+    by ascending consequent value: ``order[p, b]`` is the rule at sorted
+    position p of row b.  Each interval end has a switch count and
     the weight total at that switch: ``lo`` puts upper firing on the ``L``
     smallest consequents and lower firing on the rest; ``hi`` puts lower
     firing on the ``R`` smallest and upper firing on the rest.
     """
 
-    order: np.ndarray    # (B, P) argsort of consequents
+    order: np.ndarray    # (P, B) argsort of consequents down each column
     L: np.ndarray        # (B,) switch count of the lower bound
     R: np.ndarray        # (B,) switch count of the upper bound
     den_lo: np.ndarray   # (B,) weight totals at the accepted switches
@@ -394,7 +428,7 @@ class KMInternals:
 
 
 #: Fill of a zero-weight switch candidate, per end: never the extremum.
-_KM_FILL = np.array([np.inf, -np.inf])[:, None, None]
+_KM_FILL = np.array([np.inf, -np.inf])[:, None]
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -428,8 +462,9 @@ def _overflow_exponents(low: np.ndarray, high: np.ndarray) -> np.ndarray | None:
 def _km_sorted(fls, fus, ys, order):
     """Both ends of the reduced interval, from rules sorted by consequent.
 
-    ``fls``, ``fus`` and ``ys`` are (B, P) and already in the order
-    ``order``; returns ``(lo, hi, KMInternals)``.
+    ``fls``, ``fus`` and ``ys`` are (P, B), each column one row of the
+    batch with its rules in the order ``order``; returns
+    ``(lo, hi, KMInternals)``.
 
     Switch candidate k in 0..P of the lower end weights the k smallest
     consequents by upper firing and the others by lower firing; the upper
@@ -442,10 +477,11 @@ def _km_sorted(fls, fus, ys, order):
     suffix sum over the rest, each summed from its outer end (the suffix
     directly, not as total minus prefix, which cancels catastrophically
     when magnitudes span many orders).  All eight running sums, prefix and
-    suffix of fu*y, fl*y, fu and fl, advance together in one workspace of
-    P - 1 in-place column adds: numpy's cumsum pays a fixed cost per row,
-    a column add over the whole batch does not.  Each sum adds in cumsum's
-    order, so the result is the same to the bit.
+    suffix of fu*y, fl*y, fu and fl, advance together in one
+    candidate-major workspace, (P+1, 2, 4, B): each of its P - 1 in-place
+    adds is one contiguous slab, and the inputs fill it without a
+    transpose.  Each sum adds in cumsum's order, so the result is the same
+    to the bit.
 
     Rows whose largest |y| is 2**512 or more are scaled by a power of two
     for the sums (:func:`_overflow_exponents`), which then cannot overflow.
@@ -454,43 +490,46 @@ def _km_sorted(fls, fus, ys, order):
     temporary of its slice and raise peak memory.  Every row's results are
     the same either way.
     """
-    if len(ys) > _ROW_BLOCK:
-        parts = [_km_sorted(fls[r], fus[r], ys[r], None)
-                 for r in _row_blocks(len(ys))]
+    B = ys.shape[1]
+    if B > _ROW_BLOCK:
+        parts = [_km_sorted(fls[:, r], fus[:, r], ys[:, r], None)
+                 for r in _row_blocks(B)]
         lo, hi = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
         return lo, hi, KMInternals(order=order, **{
             f: np.concatenate([getattr(p[2], f) for p in parts])
             for f in ("L", "R", "den_lo", "den_hi")})
     # a sorted row's largest |y| is at one of its ends
-    exp = _overflow_exponents(ys[:, 0], ys[:, -1])
+    exp = _overflow_exponents(ys[0], ys[-1])
     if exp is not None:
-        ys = np.ldexp(ys, -exp[:, None])
-    B, P = ys.shape
-    # ws[0, :, :, k]: sums over the first k rules of (fu*y, fl*y, fu, fl);
-    # ws[1, :, :, j]: sums over the last j rules of (fl*y, fu*y, fl, fu)
-    ws = np.empty((2, 4, B, P + 1))
-    ws[:, :, :, 0] = 0.0
-    np.multiply(fus, ys, out=ws[0, 0, :, 1:])
-    np.multiply(fls, ys, out=ws[0, 1, :, 1:])
-    ws[0, 2, :, 1:] = fus
-    ws[0, 3, :, 1:] = fls
-    # the suffix half: the prefix half's columns reversed, with fu and fl
-    # swapped in each pair
-    pairs = ws.reshape(2, 2, 2, B, P + 1)
-    pairs[1, :, :, :, 1:] = pairs[0, :, ::-1, :, :0:-1]
+        ys = np.ldexp(ys, -exp)
+    P = len(ys)
+    # ws[k, 0]: sums over the first k rules of (fu*y, fl*y, fu, fl);
+    # ws[j, 1]: sums over the last j rules of (fl*y, fu*y, fl, fu)
+    ws = np.empty((P + 1, 2, 4, B))
+    ws[0] = 0.0
+    np.multiply(fus, ys, out=ws[1:, 0, 0])
+    np.multiply(fls, ys, out=ws[1:, 0, 1])
+    ws[1:, 0, 2] = fus
+    ws[1:, 0, 3] = fls
+    # the suffix half: the prefix half's candidates reversed, with fu and
+    # fl swapped in each pair
+    pairs = ws.reshape(P + 1, 2, 2, 2, B)
+    pairs[1:, 1] = pairs[:0:-1, 0, :, ::-1]
     for j in range(2, P + 1):
-        ws[..., j] += ws[..., j - 1]
+        ws[j] += ws[j - 1]
     # candidate k: prefix k plus suffix P - k, giving the numerators and
     # weight totals of (lo, hi)
-    ws[0] += ws[1, ..., ::-1]
-    vals, den = ws[0, :2], ws[0, 2:]
+    ws[:, 0] += ws[::-1, 1]
+    vals, den = ws[:, 0, :2], ws[:, 0, 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(vals, den, out=vals)
     np.copyto(vals, _KM_FILL, where=~(den > 0.0))
-    L, R = vals[0].argmin(axis=1), vals[1].argmax(axis=1)
-    # one gather: row 0 holds both ends' values, row 1 their weight totals
-    at = np.stack((L, R)) + np.arange(2 * B).reshape(2, B) * (P + 1)
-    (lo, hi), (den_lo, den_hi) = ws[0].reshape(2, -1)[:, at]
+    L, R = vals[:, 0].argmin(axis=0), vals[:, 1].argmax(axis=0)
+    # one gather: candidate k of row b has its (lo, hi) values at flat
+    # k*8B + b and k*8B + B + b, and their weight totals 2B further on
+    at = np.stack((L, R)) * (8 * B) + np.arange(2 * B).reshape(2, B)
+    flat = ws.reshape(-1)
+    (lo, hi), (den_lo, den_hi) = flat[at], flat[at + 2 * B]
 
     # Degenerate intervals can invert by an ulp through independent rounding
     # of the two bounds; pinch them back together.
@@ -528,12 +567,11 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if fl.shape != fu.shape or fl.shape != y.shape or y.ndim != 2:
         raise ValueError("f_lower, f_upper and y must share shape (B, P)")
-    _check_firing(fu)
+    _check_firing(fu.T)
 
     order = np.argsort(y, axis=1, kind="stable")
-    lo, hi, km = _km_sorted(np.take_along_axis(fl, order, axis=1),
-                            np.take_along_axis(fu, order, axis=1),
-                            np.take_along_axis(y, order, axis=1), order)
+    lo, hi, km = _km_sorted(*(np.take_along_axis(a, order, axis=1).T
+                              for a in (fl, fu, y)), order.T)
     return (lo, hi, km) if return_internals else (lo, hi)
 
 
@@ -563,38 +601,44 @@ class BatchTerms(NamedTuple):
     Each row's rules are sorted once by ascending consequent (a stable
     sort), the order Karnik-Mendel reduction needs.  ``order`` maps sorted
     position -> rule index; ``gamma`` and ``y`` are already in that order.
+    Each array is contiguous with the rows on its last axis.
     """
 
-    gamma: np.ndarray  # (B, P, M) primary memberships
-    y: np.ndarray      # (B, P) consequents, ascending along each row
-    order: np.ndarray  # (B, P)
+    gamma: np.ndarray  # (M, P, B) primary memberships
+    y: np.ndarray      # (P, B) consequents, ascending down each column
+    order: np.ndarray  # (P, B)
 
 
 def batch_terms(X: np.ndarray, params: ModelParams) -> BatchTerms:
     """Check ``X`` once and compute its memberships and sorted consequents."""
     X = np.asarray(X, dtype=float)
-    gamma, y = pmf_batch(X, params), _consequents(X, params)
-    order = np.argsort(y, axis=1, kind="stable")
-    # gather through flat row-major positions: np.take on a flat index
-    # costs far less per call than take_along_axis on small batches
-    B, P, M = gamma.shape
-    at = order + P * np.arange(B)[:, None]
-    return BatchTerms(gamma=np.take(gamma.reshape(B * P, M), at, axis=0),
-                      y=np.take(y, at), order=order)
+    gamma, y = pmf_batch(X, params).T, _consequents(X, params)
+    order = np.argsort(y.T, axis=0, kind="stable")
+    # gather through flat positions: np.take on a flat index costs far
+    # less per call than take_along_axis on small batches.  Sorted entry
+    # (p, b) sits at order*B + b in each input's (P, B) memberships and in
+    # the (P, B) consequents.  The memberships go first, so that their
+    # unsorted array is freed before the consequents' copy is made; the
+    # other order left a fit's heap one (M, P, B) array larger
+    M, P, B = gamma.shape
+    at = order * B
+    at += np.arange(B)
+    gamma = np.take(gamma.reshape(M, P * B), at, axis=1)
+    return BatchTerms(gamma=gamma, y=np.take(y.T.copy(), at), order=order)
 
 
 @dataclass(frozen=True)
 class SliceForward:
     """One slice of the forward pass, with what backpropagation consumes.
 
-    The (B, P) and (B, P, M) arrays are in consequent order, as in the
+    The (M, P, B) and (P, B) arrays are in consequent order, as in the
     :class:`BatchTerms` the slice ran on.
     """
 
     alpha: AlphaLevel | float | np.ndarray  # as passed to slice_forward
-    lower: np.ndarray    # (B, P, M) membership bounds, clamped into [0, 1]
+    lower: np.ndarray    # (M, P, B) membership bounds, clamped into [0, 1]
     upper: np.ndarray
-    f_lower: np.ndarray  # (B, P) rule firings
+    f_lower: np.ndarray  # (P, B) rule firings
     f_upper: np.ndarray
     lo: np.ndarray       # (B,) type-reduced interval
     hi: np.ndarray
@@ -643,7 +687,7 @@ def _block_bounds(terms: BatchTerms, levels: list[float], params: ModelParams,
     over the terms stacked slice-major once per level, or, for a single
     level, a one-level slice on the terms as they are.
     """
-    b = len(terms.y)
+    b = terms.y.shape[1]
     per_call = max(1, _ROW_BLOCK // max(b, 1))
     bounds = {}
     for i in range(0, len(levels), per_call):
@@ -653,7 +697,8 @@ def _block_bounds(terms: BatchTerms, levels: list[float], params: ModelParams,
             bounds[group[0]] = _slice_bounds(terms, group[0], params, first_row)
         else:
             lo, hi = _slice_bounds(
-                BatchTerms(*(np.concatenate((t,) * k) for t in terms)),
+                BatchTerms(*(np.concatenate((t,) * k, axis=-1)
+                             for t in terms)),
                 np.repeat(group, b), params, first_row + np.arange(k * b) % b)
             bounds.update(zip(group, zip(lo.reshape(k, b), hi.reshape(k, b))))
     return bounds

@@ -65,6 +65,10 @@ class TrainConfig:
             raise ValueError("need at least one rule")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        # NaN fails the comparison too
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be a finite learning rate above 0, "
+                             f"got {self.lr!r}")
         if self.point_output not in ("alpha0", "plane-stack"):
             raise ValueError(f"unknown point_output {self.point_output!r}")
         if not self.planes:
@@ -255,22 +259,25 @@ def _forward_at(X, y, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
                          planes=planes, weights=weights)
 
 
-def _rule_positions(order):
-    """Flat row-major position of each rule's entry in consequent order.
+def _rule_positions(order, M):
+    """Flat positions that gather consequent order back into rule order.
 
-    For a (B, P) sort ``order``, entry (b, p) is ``b * P`` plus rule p's
-    rank among row b's sorted consequents.
+    For a (P, B) sort ``order`` of rows with M inputs, entry (b, p, m) of
+    the (B, P, M) result is the flat index, in an (M, P, B) array in
+    consequent order, of input m of rule p in row b; ``[..., 0]`` indexes
+    a (P, B) array the same way.
     """
-    B, P = order.shape
+    P, B = order.shape
     back = np.empty(B * P, dtype=np.intp)
-    back[(order + P * np.arange(B)[:, None]).ravel()] = np.arange(B * P)
-    return back.reshape(B, P)
+    back[(order + P * np.arange(B)).ravel()] = np.arange(P * B)
+    return back.reshape(B, P, 1) + P * B * np.arange(M)
 
 
 def _to_rule_order(a, back):
-    """A (B, P) or (B, P, M) array in consequent order, back in rule order."""
-    B, P = back.shape
-    return np.take(a.reshape(B * P, -1), back, axis=0).reshape(a.shape)
+    """A (P, B) or (M, P, B) array in consequent order, as a contiguous
+    (B, P) or (B, P, M) array in rule order: the layout that every sum over
+    rows or rules of the backward pass reads."""
+    return np.take(a, back if a.ndim == 3 else back[..., 0])
 
 
 def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
@@ -278,21 +285,21 @@ def _backward_km(plane: SliceForward, d_lo, d_hi, y_cons):
 
     With the switch points held fixed, each bound is a plain weighted
     average, so d(bound)/dy_p = w_p / W and d(bound)/dw_p = (y_p - bound)/W.
-    Everything is in consequent order, as the slice is: the lower bound
-    weighs the ``L`` smallest consequents by their upper firing, the upper
-    bound the ``R`` smallest by their lower firing.
+    Everything is (P, B) and in consequent order, as the slice is: the
+    lower bound weighs the ``L`` smallest consequents by their upper
+    firing, the upper bound the ``R`` smallest by their lower firing.
     """
     km = plane.km
-    sorted_pos = np.arange(y_cons.shape[1])[None, :]
-    upper_lo = sorted_pos < km.L[:, None]  # lo: upper firing on the L smallest
-    lower_hi = sorted_pos < km.R[:, None]  # hi: lower firing on the R smallest
+    sorted_pos = np.arange(len(y_cons))[:, None]
+    upper_lo = sorted_pos < km.L  # lo: upper firing on the L smallest
+    lower_hi = sorted_pos < km.R  # hi: lower firing on the R smallest
     fl, fu = plane.f_lower, plane.f_upper
 
-    c_lo = (d_lo / km.den_lo)[:, None]
-    c_hi = (d_hi / km.den_hi)[:, None]
+    c_lo = d_lo / km.den_lo
+    c_hi = d_hi / km.den_hi
     d_y = c_lo * np.where(upper_lo, fu, fl) + c_hi * np.where(lower_hi, fl, fu)
-    s_lo = c_lo * (y_cons - plane.lo[:, None])
-    s_hi = c_hi * (y_cons - plane.hi[:, None])
+    s_lo = c_lo * (y_cons - plane.lo)
+    s_hi = c_hi * (y_cons - plane.hi)
     d_fu = np.where(upper_lo, s_lo, 0.0) + np.where(lower_hi, 0.0, s_hi)
     d_fl = np.where(upper_lo, 0.0, s_lo) + np.where(lower_hi, s_hi, 0.0)
     return d_y, d_fl, d_fu
@@ -314,7 +321,7 @@ def _loss_and_flat_grad(X, y, theta: np.ndarray, P: int, M: int,
     fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg)
     params = fwd.params
     terms = fwd.terms
-    back = _rule_positions(terms.order)
+    back = _rule_positions(terms.order, M)
     B = X.shape[0]
 
     # loss-level derivatives
@@ -352,13 +359,13 @@ def _loss_and_flat_grad(X, y, theta: np.ndarray, P: int, M: int,
         # memberships clamped to 1 (upper) or 0 (lower) are flat
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_u = np.where((plane.upper > 0.0) & (plane.upper < 1.0),
-                               plane.f_upper[:, :, None] / plane.upper, 0.0)
+                               plane.f_upper / plane.upper, 0.0)
             ratio_l = np.where(plane.lower > 0.0,
-                               plane.f_lower[:, :, None] / plane.lower, 0.0)
-        # back in rule order before any sum over rules, which would round
-        # differently over the rules of another order
-        d_u = _to_rule_order(d_fu[:, :, None] * ratio_u, back)
-        d_l = _to_rule_order(d_fl[:, :, None] * ratio_l, back)
+                               plane.f_lower / plane.lower, 0.0)
+        # back in (B, P, M) rule order before any sum over rows or rules,
+        # which would round differently over another order
+        d_u = _to_rule_order(d_fu * ratio_u, back)
+        d_l = _to_rule_order(d_fl * ratio_l, back)
 
         if i == 0:
             d_y_cons = d_y
@@ -399,10 +406,11 @@ def piece_signature(X, y, raw: RawParams, cfg: TrainConfig) -> bytes:
     use this to discard probes that straddle a kink.
     """
     fwd = _forward(X, y, raw, cfg)
-    back = _rule_positions(fwd.terms.order)
+    back = _rule_positions(fwd.terms.order, len(fwd.terms.gamma))
     parts = []
     for plane in fwd.planes:
-        parts.extend([plane.km.order.tobytes(), plane.km.L.tobytes(),
+        # the sort order as (B, P) bytes, rule masks in (B, P, M) rule order
+        parts.extend([plane.km.order.T.tobytes(), plane.km.L.tobytes(),
                       plane.km.R.tobytes()])
         parts.extend(_to_rule_order(mask, back).tobytes()
                      for mask in (plane.upper >= 1.0, plane.lower <= 0.0))

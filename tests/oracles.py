@@ -2,10 +2,12 @@
 
 The type-reduction and t-norm references are deliberately written as
 plain loops over definitions, sharing no code with the package internals.
-The bit-identity references are earlier versions of package routines,
-kept verbatim: the per-cumsum Karnik-Mendel sums, and the training loop
-that stepped on a fresh :class:`RawParams` per minibatch, which calls the
-package's forward and backward helpers.
+The bit-identity references are earlier versions of package routines:
+the per-cumsum Karnik-Mendel sums, kept verbatim; one slice in the
+(rows, P, M) layout, with the in-place t-norm, as the package computed it
+before its slice arrays went input-major; and the training loop that
+stepped on a fresh :class:`RawParams` per minibatch, which calls the
+package's forward and backward helpers and so follows their layout.
 """
 
 import itertools
@@ -97,6 +99,37 @@ def product_tnorm_log(mu):
     log stays finite, sum the logs with ``np.sum`` and exponentiate.
     """
     return np.exp(np.sum(np.log(np.maximum(mu, 1e-300)), axis=-1))
+
+
+def product_tnorm_inplace(mu):
+    """Product over the last axis of a (rows, P, M) array, as the package
+    once computed it: floor and log every factor, then add the M log
+    columns left to right in place and exponentiate."""
+    logs = np.maximum(mu, 1e-300)
+    np.log(logs, out=logs)
+    total = logs[..., 0].copy()
+    for m in range(1, logs.shape[-1]):
+        total += logs[..., m]
+    return np.exp(total, out=total)
+
+
+def slice_reference(gamma, y, alpha, params):
+    """One slice in the (rows, P, M) layout, as the package ran it before
+    its slice arrays went input-major.
+
+    ``gamma`` is (B, P, M) and ``y`` (B, P), both with each row's rules
+    sorted by consequent; ``alpha`` is one level or a (B,) array.  Returns
+    ``(lower, upper, f_lower, f_upper, lo, hi, L, R, den_lo, den_hi)``.
+    """
+    k = spread_scale(alpha)
+    if isinstance(k, np.ndarray):
+        k = k[:, None, None]
+    with np.errstate(over="ignore"):
+        upper = np.minimum(gamma + k * params.sigma_r, 1.0)
+        lower = np.maximum(gamma - k * params.sigma_l, 0.0)
+    f_lower, f_upper = product_tnorm_inplace(lower), product_tnorm_inplace(upper)
+    return (lower, upper, f_lower, f_upper) + km_sorted_cumsum(f_lower,
+                                                               f_upper, y)
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
@@ -212,8 +245,8 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     fwd = _forward(X, y, raw, cfg)
     params = fwd.params
     terms = fwd.terms
-    back = _rule_positions(terms.order)
-    B = X.shape[0]
+    B, M = X.shape
+    back = _rule_positions(terms.order, M)
 
     # loss-level derivatives
     eps = y - fwd.point
@@ -227,8 +260,9 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
     total = fwd.weights.sum()
     plane_center_grads = [d_point * (w / total) for w in fwd.weights]
 
-    # d_gamma in rule order; d_y_cons in consequent order until the end
-    d_gamma = np.zeros_like(terms.gamma)
+    # d_gamma in (B, P, M) rule order; d_y_cons in (P, B) consequent order
+    # until the end
+    d_gamma = np.zeros((B, params.n_rules, M))
     d_y_cons = np.zeros_like(terms.y)
     d_sigma_l = np.zeros_like(params.sigma_l)
     d_sigma_r = np.zeros_like(params.sigma_r)
@@ -245,15 +279,16 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
 
         # through the log-domain product: df/dmu = f / mu on active factors;
         # memberships clamped to 1 (upper) or 0 (lower) are flat
+        # (the slice's bounds are (M, P, B) and its firings (P, B))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_u = np.where((plane.upper > 0.0) & (plane.upper < 1.0),
-                               plane.f_upper[:, :, None] / plane.upper, 0.0)
+                               plane.f_upper / plane.upper, 0.0)
             ratio_l = np.where(plane.lower > 0.0,
-                               plane.f_lower[:, :, None] / plane.lower, 0.0)
-        # back in rule order before any sum over rules, which would round
-        # differently over the rules of another order
-        d_u = _to_rule_order(d_fu[:, :, None] * ratio_u, back)
-        d_l = _to_rule_order(d_fl[:, :, None] * ratio_l, back)
+                               plane.f_lower / plane.lower, 0.0)
+        # back in (B, P, M) rule order before any sum over rows or rules,
+        # which would round differently over another order
+        d_u = _to_rule_order(d_fu * ratio_u, back)
+        d_l = _to_rule_order(d_fl * ratio_l, back)
 
         d_gamma += d_u + d_l
         k = spread_scale(plane.alpha)

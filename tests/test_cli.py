@@ -162,6 +162,25 @@ class TestReportCommand:
         assert f"spec key {key!r}" in captured.err
         assert captured.out == ""
 
+    # Python's json reads NaN and Infinity as floats, so they pass the type
+    # check; the value check runs before the dataset loads
+    @pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity", "0",
+                                    "0.0", "-0.001"])
+    def test_spec_learning_rate_out_of_range_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, lr):
+        def no_load(*args):
+            raise AssertionError("the dataset loaded")
+
+        monkeypatch.setattr("gt2cal.cli._load_dataset", no_load)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"data": "synthetic:300:7", "phi_d": [0.8], '
+                        '"seeds": [1], "modes": ["direct"], "epochs": 1, '
+                        f'"lr": {lr}}}')
+        assert main(["report", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: spec: lr must be" in captured.err
+        assert captured.out == ""
+
     def test_csv_header_when_every_seed_fails(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         # 500 rules cannot be placed on 210 training rows

@@ -33,7 +33,9 @@ from oracles import (
     km_enumeration,
     km_sorted_cumsum,
     km_vertex_bruteforce,
+    product_tnorm_inplace,
     product_tnorm_log,
+    slice_reference,
 )
 
 
@@ -230,7 +232,7 @@ class TestFiring:
     def test_single_dimension_equals_membership_bounds(self):
         m = single_rule_model(0.0, 1.0, 0.1, 0.1, 0.0, 0.0)
         X = np.array([[0.5]])
-        lower, upper = smf_bounds(pmf_batch(X, m), 0.2, m)
+        lower, upper = smf_bounds(pmf_batch(X, m).T, 0.2, m)  # input-major
         f_lower, f_upper = firing_batch(X, 0.2, m)
         assert f_lower[0, 0] == pytest.approx(lower[0, 0, 0], rel=1e-15)
         assert f_upper[0, 0] == pytest.approx(upper[0, 0, 0], rel=1e-15)
@@ -264,7 +266,12 @@ class TestFiring:
 
 
 class TestProductTnorm:
-    """The in-place left-to-right log-sum against the one-reduction formula."""
+    """The in-place left-to-right log-sum against the one-reduction formula.
+
+    The kernel multiplies down the first (input) axis of an input-major
+    array; the references multiply along the last axis of the same values
+    in the (rows, P, M) layout.
+    """
 
     @pytest.mark.parametrize("M", [1, 2, 4, 7])
     @pytest.mark.parametrize("B", [1, 64])
@@ -273,9 +280,11 @@ class TestProductTnorm:
         mu = rng.random((B, 6, M))
         mu[rng.random(mu.shape) < 0.1] = 0.0
         mu[0, 0, 0] = 0.0
-        before = mu.copy()
-        np.testing.assert_array_equal(_product_tnorm(mu), product_tnorm_log(mu))
-        np.testing.assert_array_equal(mu, before)
+        inputs_first = np.ascontiguousarray(mu.T)
+        before = inputs_first.copy()
+        np.testing.assert_array_equal(_product_tnorm(inputs_first).T,
+                                      product_tnorm_log(mu))
+        np.testing.assert_array_equal(inputs_first, before)
 
     @pytest.mark.parametrize("M", [8, 19, 40])
     def test_log_sum_within_summation_bound(self, rng, M):
@@ -285,12 +294,22 @@ class TestProductTnorm:
         # [0.05, 1] so neither product leaves the normal range, and
         # sum|log mu| is large enough to cover the exp/log rounding.
         mu = 0.05 + 0.95 * rng.random((64, 6, M))
-        before = mu.copy()
-        got = _product_tnorm(mu)
+        inputs_first = np.ascontiguousarray(mu.T)
+        before = inputs_first.copy()
+        got = _product_tnorm(inputs_first).T
         want = product_tnorm_log(mu)
         bound = 2 * M * np.finfo(float).eps * np.sum(np.abs(np.log(mu)), axis=-1)
         assert np.all(np.abs(np.log(got) - np.log(want)) <= bound)
-        np.testing.assert_array_equal(mu, before)
+        np.testing.assert_array_equal(inputs_first, before)
+
+    @pytest.mark.parametrize("M", [1, 7, 8, 12, 19, 40])
+    def test_bit_identical_to_row_major_kernel(self, rng, M):
+        # at any M, the same adds in the same order as the kernel that ran
+        # on (rows, P, M) arrays
+        mu = rng.random((64, 6, M))
+        mu[rng.random(mu.shape) < 0.1] = 0.0
+        got = _product_tnorm(np.ascontiguousarray(mu.T)).T
+        assert got.tobytes() == product_tnorm_inplace(mu).tobytes()
 
 
 class TestConsequents:
@@ -382,7 +401,7 @@ class TestKarnikMendel:
         fl = fu * rng.random((B, P))
         fl[rng.random((B, P)) < 0.3] = 0.0
         lo, hi, km = km_reduce_batch(fl, fu, y, return_internals=True)
-        rank = np.argsort(km.order, axis=1)
+        rank = np.argsort(km.order.T, axis=1)  # order is (P, B)
         w_lo = np.where(rank < km.L[:, None], fu, fl)
         w_hi = np.where(rank < km.R[:, None], fl, fu)
         for w, den, bound in ((w_lo, km.den_lo, lo), (w_hi, km.den_hi, hi)):
@@ -458,8 +477,10 @@ def km_case(rng, B, P, zero_frac=0.0, tie=False):
 
 
 def assert_km_equals_cumsum_reference(fl, fu, y):
-    """The one-pass reduction equals the per-end cumsum one, byte for byte."""
-    lo, hi, km = core._km_sorted(fl, fu, y, None)
+    """The one-pass reduction, run on the (P, B) transposes of the (B, P)
+    inputs, equals the per-end cumsum one, byte for byte."""
+    lo, hi, km = core._km_sorted(*(np.ascontiguousarray(a.T)
+                                   for a in (fl, fu, y)), None)
     got = (lo, hi, km.L, km.R, km.den_lo, km.den_hi)
     for name, g, w in zip(("lo", "hi", "L", "R", "den_lo", "den_hi"), got,
                           km_sorted_cumsum(fl, fu, y)):
@@ -518,6 +539,134 @@ class TestOnePassKM:
         hi, _, _ = oracles._km_end(fl, fu, y, minimize=False)
         assert np.any(lo > hi)
         assert_km_equals_cumsum_reference(fl, fu, y)
+
+
+def slice_case(rng, B, P, M, special=False):
+    """Memberships (B, P, M) and consequents (B, P) of B rows, each row's
+    rules sorted by consequent, in the (rows, P, M) layout.
+
+    ``special`` rounds the consequents so that some tie, gives about one
+    (row, rule) pair in five memberships of exactly 0 in every input (a
+    firing of exactly 0 from M = 2 on), sets some memberships to exactly
+    1, and scales the consequents of row B // 2 past 2**512.  One rule of
+    every row keeps memberships of at least 0.5, so every row fires.
+    """
+    y = 3.0 * rng.normal(size=(B, P))
+    gamma = rng.random((B, P, M))
+    if special:
+        y = np.round(y)
+        y[B // 2] = np.ldexp(y[B // 2], 600)
+        gamma[rng.random((B, P)) < 0.2] = 0.0
+        gamma[rng.random(gamma.shape) < 0.1] = 1.0
+    live = rng.integers(0, P, B)
+    gamma[np.arange(B), live] = np.maximum(gamma[np.arange(B), live], 0.5)
+    return gamma, np.sort(y, axis=1)
+
+
+SLICE_FIELDS = ("lower", "upper", "f_lower", "f_upper", "lo", "hi", "L", "R",
+                "den_lo", "den_hi")
+
+
+def assert_slice_equals_row_major_reference(gamma, y, alpha, m):
+    """``slice_forward`` on the input-major transposes of ``gamma`` and
+    ``y`` equals the (rows, P, M) slice of ``oracles.slice_reference`` in
+    every output, byte for byte; below 8 inputs, its firings also equal
+    the one-reduction t-norm of the reference's bounds."""
+    B, P, M = gamma.shape
+    terms = core.BatchTerms(gamma=np.ascontiguousarray(gamma.T),
+                            y=np.ascontiguousarray(y.T),
+                            order=np.repeat(np.arange(P)[:, None], B, axis=1))
+    s = slice_forward(terms, alpha, m)
+    got = (s.lower.T, s.upper.T, s.f_lower.T, s.f_upper.T, s.lo, s.hi,
+           s.km.L, s.km.R, s.km.den_lo, s.km.den_hi)
+    want = slice_reference(gamma, y, alpha, m)
+    for name, g, w in zip(SLICE_FIELDS, got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    if M < 8:
+        for g, bounds in ((got[2], want[0]), (got[3], want[1])):
+            assert g.tobytes() == product_tnorm_log(bounds).tobytes()
+
+
+class TestInputMajorSlice:
+    """The slice path runs on (M, P, B) memberships and (P, B) firings and
+    consequents; it must equal the (rows, P, M) slice to the bit."""
+
+    ALPHAS = (0.01, 0.37, 1.0)
+
+    @pytest.mark.parametrize("M", range(1, 13))
+    @pytest.mark.parametrize("P", range(1, 13))
+    def test_every_rule_and_input_count(self, P, M):
+        rng = np.random.default_rng(1000 * P + M)
+        m = random_model(rng, n_rules=P, n_inputs=M)
+        for special in (False, True):
+            gamma, y = slice_case(rng, 37, P, M, special)
+            for alpha in (*self.ALPHAS, rng.uniform(0.01, 1.0, 37)):
+                assert_slice_equals_row_major_reference(gamma, y, alpha, m)
+
+    # 1024 rows is one Karnik-Mendel row block; 1025 and 2049 are two and
+    # three
+    @pytest.mark.parametrize("B", [1, 2, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("P, M", [(1, 1), (10, 4), (12, 12)])
+    def test_row_counts(self, B, P, M):
+        rng = np.random.default_rng(B + 100 * P + M)
+        m = random_model(rng, n_rules=P, n_inputs=M)
+        grid = np.array([0.01, 0.05, 0.37, 0.5, 1.0])
+        for special in (False, True):
+            gamma, y = slice_case(rng, B, P, M, special)
+            for alpha in (*self.ALPHAS, rng.choice(grid, B)):
+                assert_slice_equals_row_major_reference(gamma, y, alpha, m)
+
+    def test_cases_reach_the_special_paths(self):
+        # the special rows do what the cases above rely on
+        rng = np.random.default_rng(5)
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        gamma, y = slice_case(rng, 40, 6, 3, special=True)
+        want = slice_reference(gamma, y, 1.0, m)
+        f_lower, f_upper = want[2], want[3]
+        assert np.any(f_upper == 0.0) and np.any(f_lower == 0.0)
+        assert np.any(np.diff(y, axis=1) == 0.0)
+        assert np.abs(y[20]).max() >= 2.0 ** 512 > np.abs(np.delete(y, 20, 0)).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_firing_check_gives_the_row_sum_verdict(self, monkeypatch, seed):
+        # numpy pairs the terms of a 10-rule row sum of a (B, P) array,
+        # where a sum down the rule axis of (P, B) firings adds them one by
+        # one; at a threshold between the two totals, the check must give
+        # the row sum's verdict and total
+        rng = np.random.default_rng(seed)
+        while True:
+            f = np.repeat(1e-16 * rng.random((1, 10)), 3, axis=0)
+            firings = np.ascontiguousarray(f.T)
+            row_sum, down = f.sum(axis=1)[0], firings.sum(axis=0)[0]
+            if row_sum != down:
+                break
+        monkeypatch.setattr(core, "FIRING_EPS", max(row_sum, down))
+        if row_sum < down:
+            with pytest.raises(DegenerateFiringError,
+                               match=rf"input row 7 .*{row_sum:.3e} <"):
+                core._check_firing(firings, first_row=7)
+        else:
+            core._check_firing(firings, first_row=7)
+
+    @pytest.mark.parametrize("M", [1, 4, 12])
+    def test_batch_terms_feed_the_same_slice(self, rng, M):
+        # through batch_terms, from inputs: the gathers into the input-major
+        # layout take each row's sorted rules, as the (rows, P, M) gather did
+        m = random_model(rng, n_rules=7, n_inputs=M)
+        X = rng.normal(size=(300, M))
+        order = np.argsort(X @ m.a.T + m.a0, axis=1, kind="stable")
+        gamma = np.take_along_axis(pmf_batch(X, m), order[:, :, None], 1)
+        y = np.take_along_axis(X @ m.a.T + m.a0, order, 1)
+        terms = batch_terms(X, m)
+        for alpha in (0.01, 0.37, rng.uniform(0.01, 1.0, 300)):
+            s = slice_forward(terms, alpha, m)
+            want = slice_reference(gamma, y, alpha, m)
+            for g, w in zip((s.lower.T, s.upper.T, s.f_lower.T, s.f_upper.T,
+                             s.lo, s.hi, s.km.L, s.km.R, s.km.den_lo,
+                             s.km.den_hi), want):
+                assert g.tobytes() == w.tobytes()
+            assert s.km.order.T.tobytes() == order.tobytes()
 
 
 def one_input_model(c, a0, sigma_l, sigma_r):
@@ -663,7 +812,7 @@ class TestPredict:
         for _ in range(20):
             m = random_model(rng, n_rules=3, n_inputs=3)
             x = rng.normal(size=3)
-            gamma = pmf_batch(x[None, :], m)[0]
+            gamma = pmf_batch(x[None, :], m)[0].T  # (M, P): input axis first
             for alpha in (0.01, 0.3, 0.77, 1.0):
                 lower, upper = smf_bounds(gamma, alpha, m)
                 assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
@@ -775,11 +924,14 @@ class TestSharedForward:
         terms = batch_terms(X, m)
         y = X @ m.a.T + m.a0
         order = np.argsort(y, axis=1, kind="stable")
-        np.testing.assert_array_equal(terms.order, order)
-        np.testing.assert_array_equal(terms.y, np.take_along_axis(y, order, 1))
+        # input-major, rows last: order and y are (P, B), gamma (M, P, B)
+        np.testing.assert_array_equal(terms.order, order.T)
+        np.testing.assert_array_equal(terms.y, np.take_along_axis(y, order, 1).T)
         np.testing.assert_array_equal(
-            terms.gamma, np.take_along_axis(pmf_batch(X, m), order[:, :, None], 1))
-        assert np.all(np.diff(terms.y, axis=1) >= 0.0)
+            terms.gamma,
+            np.take_along_axis(pmf_batch(X, m), order[:, :, None], 1).T)
+        assert np.all(np.diff(terms.y, axis=0) >= 0.0)
+        assert all(t.flags.c_contiguous for t in terms)
 
     def test_degenerate_row_named_in_the_callers_batch(self):
         m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
@@ -802,9 +954,10 @@ class TestPerRowAlpha:
         assert s.alpha is alphas
         for i, a in enumerate(alphas):
             ref = slice_forward(terms, float(a), m)
+            # the rows are the last axis of every slice array
             for name in ("lower", "upper", "f_lower", "f_upper", "lo", "hi"):
-                np.testing.assert_array_equal(getattr(s, name)[i],
-                                              getattr(ref, name)[i])
+                np.testing.assert_array_equal(getattr(s, name)[..., i],
+                                              getattr(ref, name)[..., i])
             for name in ("L", "R", "den_lo", "den_hi"):
                 np.testing.assert_array_equal(getattr(s.km, name)[i],
                                               getattr(ref.km, name)[i])
@@ -824,8 +977,11 @@ class TestPerRowAlpha:
         np.array([0.5, np.nan, 0.5]), np.array([0.5, 0.005, 0.5]),
         np.array([0.5, 1.5, 0.5]), np.full(4, 0.5), np.full((3, 1), 0.5)])
     def test_rejects_bad_per_row_alpha(self, rng, alphas):
-        m = random_model(rng, n_rules=3, n_inputs=2)
+        # 2 inputs, 4 rules, 3 rows: only the row axis, the last of the
+        # (M, P, B) memberships, takes a (3,) alpha; (4,) matches the rules
+        m = random_model(rng, n_rules=4, n_inputs=2)
         terms = batch_terms(rng.normal(size=(3, 2)), m)
+        assert terms.gamma.shape == (2, 4, 3)
         with pytest.raises(ValueError):
             slice_forward(terms, alphas, m)
         with pytest.raises(ValueError):

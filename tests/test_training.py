@@ -126,6 +126,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                    -1e-3])
+    def test_rejects_invalid_learning_rate(self, lr):
+        with pytest.raises(ValueError, match=r"^lr must be"):
+            TrainConfig(lr=lr)
+
 
 class TestRawParams:
     def test_softplus_roundtrip(self):
