@@ -6,7 +6,8 @@ history (also with a one-row last minibatch), loss and gradient,
 piece signatures, batched prediction over one and several row blocks and
 at every slice grouping, single-row prediction, search calibration (also
 down to the step floor and from both ends of the slice range), the
-lookup table, one-slice bounds and coverage, and the Karnik-Mendel
+lookup table (also the table and searches with half of the targets on a
+slice's bounds, where rows can fail to nest by an ulp), one-slice bounds and coverage, and the Karnik-Mendel
 switch counts and weight totals of one slice (also for a 1-rule model,
 a 2-rule model with tied consequents and more than 1024 rows), all on
 seeded synthetic data (4 inputs, 10 rules) made here with numpy alone.
@@ -137,6 +138,25 @@ def main():
     for delta in (0.01, 0.05, 0.003):
         table = build_lookup_table(params, Xc, yc, delta)
         emit(f"lookup_table.{delta}", table.alphas, table.phis)
+
+    # half of the targets on a slice's bounds: covered down to that slice up
+    # to rounding, where a bound that moves by an ulp from slice to slice
+    # can break nesting
+    rng = np.random.default_rng(SEED)
+    tables, picks = [], []
+    for at in (0.01, 0.25, 0.5, 0.75):
+        lo, hi = trs_batch(Xc, at, params)
+        on_bound = rng.random(N_CAL) < 0.5
+        y_on = np.where(on_bound, np.where(rng.random(N_CAL) < 0.5, lo, hi),
+                        yc)
+        table = build_lookup_table(params, Xc, y_on, 0.01)
+        tables += [table.alphas, table.phis]
+        for phi_d in (0.80, 0.90):
+            r = calibrate_search(params, Xc, y_on, SearchConfig(phi_d=phi_d))
+            picks.append([r.alpha_star, r.phi_achieved, r.iterations,
+                          float(r.converged)])
+    emit("build_lookup_table.on-bounds", *tables)
+    emit("calibrate_search.on-bounds", picks)
 
     for alpha in (0.01, 0.37, 1.0):
         emit(f"trs_batch.alpha{alpha}", *trs_batch(Xc, alpha, params))

@@ -22,6 +22,7 @@ from .core import (
     ALPHA_MIN,
     BatchTerms,
     ModelParams,
+    _alpha_levels,
     batch_terms,
     slice_forward,
     trs_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
@@ -155,8 +156,7 @@ class CalibrationTable:
             raise ValueError("need at least two (alpha, phi) pairs")
         if np.any(np.diff(a) <= 0.0):
             raise ValueError("alpha grid must be strictly increasing")
-        if not np.all((a >= ALPHA_MIN) & (a <= 1.0)):
-            raise ValueError(f"alpha grid must lie in [{ALPHA_MIN}, 1]")
+        _alpha_levels(a)
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("coverage values must be finite and lie in [0, 1]")
         if np.any(np.diff(p) > 0.0):
@@ -193,9 +193,9 @@ def build_lookup_table(params: ModelParams, X, y, delta: float) -> CalibrationTa
     the grid: grid indices 0..k_i, with k_i = -1 for a row covered at no
     slice.  Then the coverage at grid index j is #(k_i >= j) / Q.  The top
     slice is probed first, over all rows: its firing check is the
-    strictest, so a row outside every rule's support raises there.  After
-    the bottom slice, the rows still open are bisected together, one slice
-    per pass with one alpha per row: 2 + ceil(log2(n - 1)) slices for an
+    strictest, so a row outside every rule's support raises there.  The
+    rows it misses are bisected together over k_i in [-1, n - 2], one slice
+    per pass with one alpha per row: 1 + ceil(log2(n)) slices for an
     n-point grid instead of n.
 
     Where every row's coverage nests, each phi is the float the mean of
@@ -209,14 +209,13 @@ def build_lookup_table(params: ModelParams, X, y, delta: float) -> CalibrationTa
     n = grid.size
     covered = _coverage_oracle(params, X, y)
     k = np.where(covered(grid[-1]), n - 1, -1)
-    open_rows = (k < 0) & covered(grid[0])
-    k[open_rows] = 0
-    # an open row has 0 <= k_i <= n - 2: try steps of 2^m down to 1, each
-    # pass probing every row (a closed row's probe is not used)
-    for shift in reversed(range((n - 2).bit_length())):
+    # a row the top slice misses has -1 <= k_i <= n - 2: try steps of 2^m
+    # down to 1, each pass probing every row (a probe past n - 2, which
+    # every row covered at the top makes, is not used)
+    for shift in reversed(range((n - 1).bit_length())):
         probe = k + (1 << shift)
         hit = covered(grid[np.minimum(probe, n - 1)])
-        k = np.where(open_rows & (probe <= n - 2) & hit, probe, k)
+        k = np.where((probe <= n - 2) & hit, probe, k)
     counts = np.bincount(k + 1, minlength=n + 1)
     phis = np.cumsum(counts[::-1])[::-1][1:] / k.size
     return CalibrationTable(alphas=grid, phis=phis)
@@ -309,8 +308,8 @@ class SearchConfig:
             raise ValueError(f"coverage target must lie in (0, {ENVELOPE})")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("shrink factor must lie in (0, 1)")
-        if not ALPHA_MIN <= self.alpha_init <= 1.0:
-            raise ValueError(f"alpha_init must lie in [{ALPHA_MIN}, 1]")
+        object.__setattr__(self, "alpha_init",
+                           _alpha_levels(float(self.alpha_init)))
         if self.delta <= 0.0:
             raise ValueError("initial step must be positive")
         if self.epsilon is not None and self.epsilon <= 0.0:
@@ -343,7 +342,7 @@ def search_alpha(coverage_fn, cfg: SearchConfig) -> CalibrationResult:
     if cfg.epsilon is None:
         raise ValueError("search over a bare coverage function needs an "
                          "explicit tolerance")
-    alpha = float(min(max(cfg.alpha_init, ALPHA_MIN), 1.0))
+    alpha = cfg.alpha_init
     phi = float(coverage_fn(alpha))
     err = abs(phi - cfg.phi_d)
     best = (err, alpha, phi)

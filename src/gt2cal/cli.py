@@ -30,8 +30,11 @@ from .calibration import (
 )
 from .core import ALPHA_MIN, DEFAULT_PLANES
 from .harness import (
+    _SPLIT_SCHEMES,
+    PIPELINE_MODES,
     REPORT_COLUMNS,
     NormalizationStats,
+    _coverage_targets,
     format_report,
     interval_metrics,
     load_csv,
@@ -42,7 +45,7 @@ from .harness import (
     split,
     synthetic_heteroscedastic,
 )
-from .training import ENVELOPE, TrainConfig, train
+from .training import ENVELOPE, HISTORY_COLUMNS, TrainConfig, train
 
 
 #: Lookup grid step of ``calibrate --method lookup`` and ``curve``.
@@ -92,7 +95,7 @@ def _build_parser():
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--minibatch", type=int, default=TrainConfig.minibatch)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--scheme", choices=["all", "85/15", "70/15/15"],
+    p.add_argument("--scheme", choices=["all", *_SPLIT_SCHEMES],
                    default="all", help="which split's training rows to fit on")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--log-out", default=None, help="training log CSV")
@@ -195,7 +198,7 @@ def _cmd_train(args) -> int:
     if args.log_out:
         with open(args.log_out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "picp_alpha0", "rmse"])
+            writer.writerow(HISTORY_COLUMNS)
             writer.writerows(result.history_rows())
     last = result.history[-1]
     print(f"trained {name}: best epoch {result.best_epoch} "
@@ -263,6 +266,19 @@ def _cmd_curve(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (``true`` and ``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spec_list(key: str, value, item_ok, noun: str) -> list:
+    """``value``, the spec's ``key``, if it is a non-empty list whose every
+    item passes ``item_ok``; otherwise a usage error that names the key."""
+    if not (isinstance(value, list) and value and all(map(item_ok, value))):
+        raise UsageError(f"spec key {key!r} must be {noun}, got {value!r}")
+    return value
+
+
 def _cmd_report(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
     if not isinstance(spec, dict):
@@ -286,12 +302,21 @@ def _cmd_report(args) -> int:
         cfg = TrainConfig(**{key: spec[key] for key in train_keys})
     except ValueError as exc:
         raise UsageError(f"spec: {exc}") from None
+    seeds = _spec_list("seeds", spec.get("seeds", [1, 2, 3, 4, 5]),
+                       lambda s: type(s) is int, "a non-empty list of integers")
+    modes = _spec_list("modes", spec.get("modes", list(PIPELINE_MODES)),
+                       lambda m: m in PIPELINE_MODES,
+                       f"a non-empty list drawn from {list(PIPELINE_MODES)}")
+    phi_d = spec["phi_d"]
+    phi_ds = _spec_list("phi_d", [phi_d] if _is_number(phi_d) else phi_d,
+                        _is_number, "a number or a non-empty list of numbers")
+    try:
+        phi_ds = _coverage_targets(phi_ds)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"spec key 'phi_d': {exc}") from None
     X, y, default_name = _load_dataset(str(spec["data"]), spec.get("target"),
                                        args.seed)
     name = spec.get("name", default_name)
-    phi_ds = [float(p) for p in np.atleast_1d(spec["phi_d"])]
-    seeds = [int(s) for s in spec.get("seeds", [1, 2, 3, 4, 5])]
-    modes = spec.get("modes", ["calibrated", "direct"])
 
     reports = []
     for mode in modes:

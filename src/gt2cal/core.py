@@ -67,25 +67,16 @@ class AlphaLevel:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if not np.isfinite(v) or v < ALPHA_MIN or v > 1.0:
-            raise ValueError(
-                f"alpha must lie in [{ALPHA_MIN}, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _alpha_levels(float(self.value)))
 
     def __float__(self) -> float:
         return self.value
 
 
-def _alpha_value(alpha: AlphaLevel | float) -> float:
-    """Coerce to a validated float alpha level."""
-    if isinstance(alpha, AlphaLevel):
-        return alpha.value
-    return AlphaLevel(float(alpha)).value
-
-
 def _alpha_levels(alpha) -> float | np.ndarray:
-    """A validated alpha level, or a validated (B,) array of per-row levels."""
+    """The one check of a slice level: a float in [0.01, 1], or a (B,)
+    array of such per-row levels.  One level takes no numpy call: the
+    slice path checks one per slice."""
     if isinstance(alpha, np.ndarray) and alpha.ndim > 0:
         a = alpha.astype(float)
         if a.ndim != 1:
@@ -95,7 +86,10 @@ def _alpha_levels(alpha) -> float | np.ndarray:
         if not np.all((a >= ALPHA_MIN) & (a <= 1.0)):
             raise ValueError(f"every alpha must lie in [{ALPHA_MIN}, 1]")
         return a
-    return _alpha_value(alpha)
+    v = float(alpha)
+    if not ALPHA_MIN <= v <= 1.0:
+        raise ValueError(f"alpha must lie in [{ALPHA_MIN}, 1], got {v!r}")
+    return v
 
 
 def spread_scale(alpha: AlphaLevel | float | np.ndarray) -> float | np.ndarray:
@@ -744,12 +738,8 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     (lo, hi, point) arrays of shape (B,).  ``lo``/``hi`` come from the
     requested slice; ``point`` aggregates slice centers over ``planes``.
     """
-    alpha = _alpha_value(alpha)
-    plane_values = [float(p) for p in planes]
-    # NaN fails the comparison too
-    if not all(ALPHA_MIN <= p <= 1.0 for p in plane_values):
-        for p in plane_values:
-            _alpha_value(p)  # raises, naming the first bad level
+    alpha = _alpha_levels(float(alpha))
+    plane_values = [_alpha_levels(float(p)) for p in planes]
     if not plane_values:
         raise ValueError("plane stack must contain at least one alpha level")
     levels = list(dict.fromkeys([alpha, *plane_values]))

@@ -123,32 +123,45 @@ def synthetic_heteroscedastic(n: int, seed: int):
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-column z-score statistics fitted on the training split only."""
+    """Per-column z-score statistics fitted on the training split only;
+    construction raises ``ValueError`` unless ``x_mean`` and ``x_std`` are
+    1-D vectors of one length, the means finite and the deviations finite
+    and positive."""
 
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: float
     y_std: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "x_mean", np.asarray(self.x_mean, dtype=float))
+        object.__setattr__(self, "x_std", np.asarray(self.x_std, dtype=float))
+        object.__setattr__(self, "y_mean", float(self.y_mean))
+        object.__setattr__(self, "y_std", float(self.y_std))
+        if self.x_mean.ndim != 1 or self.x_std.shape != self.x_mean.shape:
+            raise ValueError(f"x_mean and x_std must be 1-D vectors of one "
+                             f"length, got shape {self.x_mean.shape} and "
+                             f"shape {self.x_std.shape}")
+        scales = np.append(self.x_std, self.y_std)
+        if not (np.all(np.isfinite(scales)) and np.all(scales > 0.0)):
+            raise ValueError("x_std and y_std must be finite and positive")
+        if not np.all(np.isfinite(np.append(self.x_mean, self.y_mean))):
+            raise ValueError("x_mean and y_mean must be finite")
+
     @classmethod
     def fit(cls, X, y, feature_names=None) -> "NormalizationStats":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features contain non-finite values")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("target contains non-finite values")
-        x_mean = X.mean(axis=0)
-        x_std = X.std(axis=0)
+        # the constructor rejects the statistics of non-finite values
+        with np.errstate(invalid="ignore"):
+            x_mean, x_std = X.mean(axis=0), X.std(axis=0)
+            y_mean, y_std = y.mean(), y.std()
         for j, s in enumerate(x_std):
             if s <= 0.0:
                 name = feature_names[j] if feature_names else f"column {j}"
                 raise ValueError(f"feature {name!r} has zero variance on the "
                                  "fitting split")
-        y_std = float(y.std())
-        if y_std <= 0.0:
-            raise ValueError("target has zero variance on the fitting split")
-        return cls(x_mean=x_mean, x_std=x_std, y_mean=float(y.mean()), y_std=y_std)
+        return cls(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
     def apply(self, X, y=None):
         Xz = (np.asarray(X, dtype=float) - self.x_mean) / self.x_std
@@ -246,11 +259,8 @@ def save_model(path, params: ModelParams, stats: NormalizationStats | None = Non
         "n_inputs": params.n_inputs,
         "params": {f: getattr(params, f).tolist() for f in _PARAM_FIELDS},
         "normalization": None if stats is None else {
-            "x_mean": stats.x_mean.tolist(),
-            "x_std": stats.x_std.tolist(),
-            "y_mean": stats.y_mean,
-            "y_std": stats.y_std,
-        },
+            f.name: np.asarray(getattr(stats, f.name)).tolist()
+            for f in fields(NormalizationStats)},
         "train_config": train_config,
         "metadata": metadata or {},
     }
@@ -258,7 +268,9 @@ def save_model(path, params: ModelParams, stats: NormalizationStats | None = Non
 
 
 def load_model(path) -> ModelBundle:
-    """Read a model written by :func:`save_model`."""
+    """Read a model written by :func:`save_model`; a file loads only if its
+    blocks build the types that hold them, so that a model that loads can
+    run (otherwise :class:`SchemaError`)."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -291,34 +303,23 @@ def load_model(path) -> ModelBundle:
             raise SchemaError(f"model file field '{key}' must be an object or "
                               f"null, got {type(doc[key]).__name__}")
 
-    stats = None
-    norm = doc.get("normalization")
-    if norm is not None:
-        for key in ("x_mean", "x_std", "y_mean", "y_std"):
-            if key not in norm:
-                raise SchemaError(f"model file is missing field "
-                                  f"'normalization.{key}'")
+    # each block builds the type that holds it, with its lists as tuples
+    built = {}
+    for key, cls in (("normalization", NormalizationStats),
+                     ("train_config", TrainConfig)):
+        block = doc.get(key)
         try:
-            stats = NormalizationStats(
-                x_mean=np.asarray(norm["x_mean"], dtype=float),
-                x_std=np.asarray(norm["x_std"], dtype=float),
-                y_mean=float(norm["y_mean"]),
-                y_std=float(norm["y_std"]),
-            )
+            built[key] = None if block is None else cls(**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in block.items()})
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"model file holds an invalid normalization "
-                              f"block: {exc}") from exc
-        M = params.n_inputs
-        if stats.x_mean.shape != (M,) or stats.x_std.shape != (M,):
-            raise SchemaError(
-                f"normalization x_mean and x_std must have shape ({M},), got "
-                f"{stats.x_mean.shape} and {stats.x_std.shape}")
-        scales = np.append(stats.x_std, stats.y_std)
-        if not (np.all(np.isfinite(scales)) and np.all(scales > 0.0)):
-            raise SchemaError("normalization x_std and y_std must be finite "
-                              "and positive")
-        if not np.all(np.isfinite(np.append(stats.x_mean, stats.y_mean))):
-            raise SchemaError("normalization x_mean and y_mean must be finite")
+            raise SchemaError(f"model file holds an invalid {key} block: "
+                              f"{exc}") from exc
+    stats = built["normalization"]
+    if stats is not None and stats.x_mean.shape != (params.n_inputs,):
+        raise SchemaError(f"normalization x_mean and x_std must have shape "
+                          f"({params.n_inputs},), got shape "
+                          f"{stats.x_mean.shape}")
     return ModelBundle(params=params, stats=stats,
                        train_config=doc.get("train_config"),
                        metadata=doc.get("metadata") or {})
@@ -373,6 +374,10 @@ def interval_metrics(params: ModelParams, X, y, alpha, planes) -> dict:
             "pinaw": pinaw(y, lo, hi)}
 
 
+#: The ways :func:`run_pipeline` reaches a coverage target.
+PIPELINE_MODES = ("calibrated", "direct")
+
+
 def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
                  train_cfg: TrainConfig | None = None,
                  search_cfg: SearchConfig | None = None,
@@ -386,11 +391,8 @@ def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    phi_list = [float(p) for p in np.atleast_1d(phi_ds)]
-    for p in phi_list:
-        if not 0.0 < p < ENVELOPE:
-            raise ValueError(f"coverage target {p} must lie in (0, {ENVELOPE})")
-    if mode not in ("calibrated", "direct"):
+    phi_list = _coverage_targets(phi_ds)
+    if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown pipeline mode {mode!r}")
 
     base_cfg = train_cfg or TrainConfig()
@@ -409,6 +411,16 @@ def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
         except (DivergenceError, DegenerateFiringError, ValueError) as exc:
             report.failures.append((seed, str(exc)))
     return report
+
+
+def _coverage_targets(phi_ds) -> list[float]:
+    """One coverage target or several, as a list of floats in
+    (0, ``ENVELOPE``), or ValueError."""
+    phi_list = [float(p) for p in np.atleast_1d(phi_ds)]
+    for p in phi_list:
+        if not 0.0 < p < ENVELOPE:
+            raise ValueError(f"coverage target {p} must lie in (0, {ENVELOPE})")
+    return phi_list
 
 
 def _seed_config(base_cfg: TrainConfig, phi: float, seed: int) -> TrainConfig:

@@ -25,6 +25,7 @@ from .core import (
     BatchTerms,
     ModelParams,
     SliceForward,
+    _alpha_levels,
     _deviations,
     _param_views,
     batch_terms,
@@ -73,6 +74,8 @@ class TrainConfig:
             raise ValueError(f"unknown point_output {self.point_output!r}")
         if not self.planes:
             raise ValueError("plane stack must contain at least one alpha level")
+        for p in self.planes:
+            _alpha_levels(float(p))
 
     @classmethod
     def for_coverage(cls, phi: float, **overrides) -> "TrainConfig":
@@ -451,6 +454,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
 # Training loop
 # ---------------------------------------------------------------------------
 
+#: The columns of the training log: the keys of each epoch's entry in
+#: :attr:`TrainResult.history`, in the order of its rows.
+HISTORY_COLUMNS = ("epoch", "loss", "picp_alpha0", "rmse")
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -460,9 +468,8 @@ class TrainResult:
     history: list[dict]
 
     def history_rows(self):
-        """Training log rows as (epoch, loss, picp_alpha0, rmse) tuples."""
-        return [(h["epoch"], h["loss"], h["picp_alpha0"], h["rmse"])
-                for h in self.history]
+        """Training log rows as tuples in ``HISTORY_COLUMNS`` order."""
+        return [tuple(h[c] for c in HISTORY_COLUMNS) for h in self.history]
 
 
 def train(X, y, cfg: TrainConfig) -> TrainResult:
@@ -522,12 +529,9 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
             raise DivergenceError(
                 f"non-finite training loss at epoch {epoch}", epoch=epoch)
         covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
-        history.append({
-            "epoch": epoch,
-            "loss": fwd.loss,
-            "picp_alpha0": float(covered),
-            "rmse": float(np.sqrt(np.mean((y - fwd.point) ** 2))),
-        })
+        history.append(dict(zip(HISTORY_COLUMNS, (
+            epoch, fwd.loss, float(covered),
+            float(np.sqrt(np.mean((y - fwd.point) ** 2)))))))
         if fwd.loss < best_loss:
             best_loss = fwd.loss
             best_theta = theta

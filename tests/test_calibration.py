@@ -624,6 +624,24 @@ class TestBisectionTable:
         build_lookup_table(m, X, y, delta)
         assert len(calls) <= passes
 
+    @pytest.mark.parametrize("delta", [0.01, 0.003, 0.05, 0.3, 1 / 17, 0.5])
+    def test_exact_slice_count(self, rng, monkeypatch, delta):
+        # the top probe, then one bisection pass per bit of n - 1
+        n = alpha_grid(delta).size
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        X = rng.normal(size=(250, 3))
+        y = 0.5 * rng.normal(size=250)
+        calls = []
+        real = gt2cal.core.smf_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gt2cal.core, "smf_bounds", counting)
+        build_lookup_table(m, X, y, delta)
+        assert len(calls) == 1 + (n - 1).bit_length()
+
     def test_row_outside_every_rule_raises(self):
         m = ModelParams(c=np.zeros((1, 1)), sigma=np.full((1, 1), 0.01),
                         sigma_l=np.full(1, 1e-9), sigma_r=np.full(1, 1e-9),

@@ -162,6 +162,27 @@ class TestReportCommand:
         assert f"spec key {key!r}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 3), ("seeds", [True]), ("seeds", []), ("seeds", [1, 2.0]),
+        ("modes", "direct"), ("modes", ["direct", "drect"]), ("modes", []),
+        ("phi_d", [0.8, "x"]), ("phi_d", True), ("phi_d", []),
+        ("phi_d", "0.8"), ("phi_d", [1.5]), ("phi_d", 0.0),
+        ("phi_d", 10 ** 400)])
+    def test_spec_pipeline_key_is_checked_before_the_data_loads(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        def no_load(*args):
+            raise AssertionError("the dataset loaded")
+
+        monkeypatch.setattr("gt2cal.cli._load_dataset", no_load)
+        spec = tmp_path / "spec.json"
+        doc = {"data": "synthetic:300:7", "phi_d": [0.8], "seeds": [1],
+               "modes": ["direct"], "epochs": 1}
+        spec.write_text(json.dumps({**doc, key: value}))
+        assert main(["report", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert f"spec key {key!r}" in captured.err
+        assert captured.out == ""
+
     # Python's json reads NaN and Infinity as floats, so they pass the type
     # check; the value check runs before the dataset loads
     @pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity", "0",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gt2cal.core import predict_batch
+from gt2cal.core import DEFAULT_PLANES, predict_batch
 from gt2cal.errors import DegenerateFiringError, SchemaError
 from gt2cal.harness import (
     NormalizationStats,
@@ -99,6 +99,20 @@ class TestNormalization:
         # applying train stats leaves held-out data non-centered in general
         Xz = stats.apply(X[60:])
         assert abs(Xz.mean()) > 1e-3
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"x_std": [1.0, 0.0]}, "finite and positive"),
+        ({"y_std": 0.0}, "finite and positive"),
+        ({"x_std": [1.0, np.inf]}, "finite and positive"),
+        ({"y_std": np.inf}, "finite and positive"),
+        ({"x_mean": [0.0, 0.0, 0.0]}, r"shape \(3,\) and shape \(2,\)"),
+        ({"x_std": [1.0]}, r"shape \(2,\) and shape \(1,\)"),
+    ])
+    def test_constructor_checks_its_fields(self, kw, match):
+        fields = dict(x_mean=[0.0, 0.0], x_std=[1.0, 1.0], y_mean=0.0,
+                      y_std=1.0)
+        with pytest.raises(ValueError, match=match):
+            NormalizationStats(**{**fields, **kw})
 
     def test_zero_variance_named(self):
         X = np.ones((10, 2))
@@ -254,7 +268,7 @@ _FIELD_PATHS = (
     + [("params", f) for f in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")]
     + [("normalization",)]
     + [("normalization", k) for k in ("x_mean", "x_std", "y_mean", "y_std")]
-    + [("train_config",), ("metadata",)])
+    + [("train_config",), ("train_config", "planes"), ("metadata",)])
 
 # Finite values span the whole float64 range: a model that loads must run
 # also with consequents near the float limit.
@@ -312,8 +326,10 @@ class TestModelFileFuzz:
         except SchemaError:
             return
         X = np.zeros((1, bundle.params.n_inputs))
+        # at the file's own planes, as ``gt2cal evaluate`` runs it
+        planes = (bundle.train_config or {}).get("planes") or DEFAULT_PLANES
         try:
-            out = predict_batch(X, 0.37, bundle.params)
+            out = predict_batch(X, 0.37, bundle.params, planes)
         except DegenerateFiringError:
             return
         assert all(np.all(np.isfinite(v)) for v in out)
@@ -367,6 +383,33 @@ class TestNormalizationBlockChecks:
         path = self._write(tmp_path, rng, x_mean=[1.5, -2.0], x_std=[0.5, 3.0])
         stats = load_model(path).stats
         np.testing.assert_array_equal(stats.x_std, [0.5, 3.0])
+
+
+class TestTrainConfigBlockChecks:
+    """A model file whose train_config block TrainConfig rejects must not
+    load: ``gt2cal evaluate`` runs the file at its planes."""
+
+    @staticmethod
+    def _write(tmp_path, rng, **overrides):
+        path = tmp_path / "model.json"
+        save_model(path, random_model(rng, n_rules=3, n_inputs=2),
+                   train_config=TrainConfig())
+        doc = json.loads(path.read_text())
+        doc["train_config"].update(overrides)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("overrides", [
+        {"planes": [0.0]}, {"planes": "abc"}, {"planes": []},
+        {"point_output": "typo"}, {"n_layers": 2}])
+    def test_rejected_block_does_not_load(self, tmp_path, rng, overrides):
+        path = self._write(tmp_path, rng, **overrides)
+        with pytest.raises(SchemaError, match="train_config"):
+            load_model(path)
+
+    def test_valid_block_loads_as_a_dict(self, tmp_path, rng):
+        path = self._write(tmp_path, rng, planes=[0.5, 1.0])
+        assert load_model(path).train_config["planes"] == [0.5, 1.0]
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"^lr must be"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("plane", [0.0, np.nan, 1.5, "a"])
+    def test_rejects_plane_outside_the_slice_range(self, plane):
+        # checked at construction, not after a pipeline has trained
+        with pytest.raises(ValueError):
+            TrainConfig(planes=(plane, 0.5))
+
 
 class TestRawParams:
     def test_softplus_roundtrip(self):
