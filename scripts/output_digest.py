@@ -15,14 +15,17 @@ Two more models check what 4 inputs cannot: a seeded 12-input model,
 whose t-norm adds 12 log-factors per rule (one slice, batched prediction
 at 3 and 1025 rows, one search), and the trained model with consequents
 scaled to reach 2**600 on half of the rows, whose Karnik-Mendel sums and
-point run scaled.  Run it on two commits and diff the outputs: equal
-lines mean bit-identical results.
+point run scaled.  One more line hashes the text of the model files that
+``save_model`` writes for two trained models, with normalization
+statistics, training configuration and metadata.  Run it on two commits
+and diff the outputs: equal lines mean bit-identical results.
 
 Usage: python scripts/output_digest.py
 """
 
 import hashlib
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +47,7 @@ from gt2cal.core import (  # noqa: E402
     slice_forward,
     trs_batch,
 )
+from gt2cal.harness import NormalizationStats, save_model  # noqa: E402
 from gt2cal.training import (  # noqa: E402
     TrainConfig,
     loss_and_grad,
@@ -95,6 +99,22 @@ def main():
         p = res.params
         emit(f"train.{name}", p.c, p.sigma, p.sigma_l, p.sigma_r, p.a, p.a0,
              [res.best_loss, res.best_epoch], res.history_rows())
+
+    # model files as ``gt2cal train --scheme 70/15/15`` writes them, at the
+    # default planes and at two
+    stats = NormalizationStats.fit(X, y)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        texts = []
+        for name in ("alpha0", "plane-stack-0.5-1.0"):
+            res = fits[name]
+            save_model(path, res.params, stats=stats,
+                       train_config=fit_configs[name],
+                       metadata={"dataset": "digest", "scheme": "70/15/15",
+                                 "seed": SEED, "best_epoch": res.best_epoch,
+                                 "best_loss": res.best_loss})
+            texts.append(path.read_bytes())
+    emit("save_model", *texts)
 
     raw = fits["alpha0"].raw
     Xb, yb = X[:64], y[:64]

@@ -8,6 +8,7 @@ non-increasing function of alpha.  Inverting that function picks the slice
 whose interval covers a requested fraction of targets.  Two inverters are
 provided: a sampled lookup table with linear interpolation, and a
 derivative-free shrinking-step search that needs no quantization choices.
+A sampled curve that rises with alpha is rejected, not repaired.
 """
 
 from __future__ import annotations
@@ -119,31 +120,14 @@ def coverage_at_alpha(params: ModelParams, X, y, alpha) -> float:
 # Lookup-table inverter
 # ---------------------------------------------------------------------------
 
-def _isotonic_decreasing(values: np.ndarray) -> np.ndarray:
-    """Least-squares non-increasing fit by pool-adjacent-violators."""
-    vals = list(-np.asarray(values, dtype=float))  # fit non-decreasing on -v
-    level = []
-    weight = []
-    for v in vals:
-        level.append(v)
-        weight.append(1.0)
-        while len(level) > 1 and level[-2] > level[-1]:
-            w = weight[-2] + weight[-1]
-            merged = (level[-2] * weight[-2] + level[-1] * weight[-1]) / w
-            level[-2:] = [merged]
-            weight[-2:] = [w]
-    out = np.concatenate([np.full(int(w), lv) for lv, w in zip(level, weight)])
-    return -out
-
-
 @dataclass(frozen=True)
 class CalibrationTable:
     """Sampled (alpha, coverage) pairs with alpha ascending.
 
-    Coverage is non-increasing in alpha, since intervals nest.  A table
-    from :func:`build_lookup_table` is so by construction; a curve that
-    breaks this, say one read from a file, is repaired isotonically at
-    construction.
+    Coverage is non-increasing in alpha, since intervals nest; a table
+    from :func:`build_lookup_table` is so by construction.  Construction
+    raises ``ValueError`` for a curve that rises anywhere, say one read
+    from an edited file.
     """
 
     alphas: np.ndarray
@@ -160,7 +144,7 @@ class CalibrationTable:
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("coverage values must be finite and lie in [0, 1]")
         if np.any(np.diff(p) > 0.0):
-            p = _isotonic_decreasing(p)
+            raise ValueError("coverage must be non-increasing in alpha")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "phis", p)
 
@@ -281,7 +265,10 @@ def read_calibration_curve(path) -> CalibrationTable:
                                  f"alpha,phi, got {row!r}") from None
             alphas.append(alpha)
             phis.append(phi)
-    return CalibrationTable(alphas=np.array(alphas), phis=np.array(phis))
+    try:
+        return CalibrationTable(alphas=np.array(alphas), phis=np.array(phis))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle, Xz, yz = _prepare_eval_data(args)
-    planes = (bundle.train_config or {}).get("planes") or DEFAULT_PLANES
+    planes = (DEFAULT_PLANES if bundle.train_config is None
+              else bundle.train_config.planes)
     metrics = interval_metrics(bundle.params, Xz, yz, args.alpha, planes)
     print(f"alpha {args.alpha}")
     for name in ("picp", "pinaw", "rmse"):

@@ -237,31 +237,34 @@ def rmse(y, yhat) -> float:
 class ModelBundle:
     params: ModelParams
     stats: NormalizationStats | None
-    train_config: dict | None
+    train_config: TrainConfig | None
     metadata: dict = field(default_factory=dict)
 
 
+#: The model file's typed blocks, each with the type that holds it; a block
+#: is written field by field and read back through its type's constructor.
+_TYPED_BLOCKS = (("normalization", NormalizationStats),
+                 ("train_config", TrainConfig))
+
+
 def save_model(path, params: ModelParams, stats: NormalizationStats | None = None,
-               train_config: TrainConfig | dict | None = None,
+               train_config: TrainConfig | None = None,
                metadata: dict | None = None) -> None:
     """Write a model as JSON.
 
     Floats are serialized with shortest-roundtrip decimal encoding, so a
     load/save cycle reproduces every parameter bit for bit.
     """
-    if isinstance(train_config, TrainConfig):
-        train_config = {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in vars(train_config).items()}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "gt2cal-model",
         "n_rules": params.n_rules,
         "n_inputs": params.n_inputs,
         "params": {f: getattr(params, f).tolist() for f in _PARAM_FIELDS},
-        "normalization": None if stats is None else {
-            f.name: np.asarray(getattr(stats, f.name)).tolist()
-            for f in fields(NormalizationStats)},
-        "train_config": train_config,
+        **{key: None if block is None else {
+            f.name: np.asarray(getattr(block, f.name)).tolist()
+            for f in fields(cls)}
+           for (key, cls), block in zip(_TYPED_BLOCKS, (stats, train_config))},
         "metadata": metadata or {},
     }
     Path(path).write_text(json.dumps(doc, indent=2))
@@ -269,8 +272,9 @@ def save_model(path, params: ModelParams, stats: NormalizationStats | None = Non
 
 def load_model(path) -> ModelBundle:
     """Read a model written by :func:`save_model`; a file loads only if its
-    blocks build the types that hold them, so that a model that loads can
-    run (otherwise :class:`SchemaError`)."""
+    blocks build the types that hold them and its metadata names a split
+    that :func:`split` can redo, so that a model that loads can run
+    (otherwise :class:`SchemaError`)."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -305,8 +309,7 @@ def load_model(path) -> ModelBundle:
 
     # each block builds the type that holds it, with its lists as tuples
     built = {}
-    for key, cls in (("normalization", NormalizationStats),
-                     ("train_config", TrainConfig)):
+    for key, cls in _TYPED_BLOCKS:
         block = doc.get(key)
         try:
             built[key] = None if block is None else cls(**{
@@ -320,9 +323,15 @@ def load_model(path) -> ModelBundle:
         raise SchemaError(f"normalization x_mean and x_std must have shape "
                           f"({params.n_inputs},), got shape "
                           f"{stats.x_mean.shape}")
+    # the split that ``gt2cal train --scheme`` wrote, which --split redoes
+    metadata = doc.get("metadata") or {}
+    scheme, seed = metadata.get("scheme", "all"), metadata.get("seed", 0)
+    if scheme not in ("all", *_SPLIT_SCHEMES) or type(seed) is not int or seed < 0:
+        raise SchemaError(f"model file metadata must name a split scheme from "
+                          f"{['all', *_SPLIT_SCHEMES]} and a non-negative "
+                          f"integer seed, got {scheme!r} and {seed!r}")
     return ModelBundle(params=params, stats=stats,
-                       train_config=doc.get("train_config"),
-                       metadata=doc.get("metadata") or {})
+                       train_config=built["train_config"], metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +389,6 @@ PIPELINE_MODES = ("calibrated", "direct")
 
 def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
                  train_cfg: TrainConfig | None = None,
-                 search_cfg: SearchConfig | None = None,
                  dataset_name: str = "dataset") -> ExperimentReport:
     """
     Repeat the full experiment across seeds and aggregate the metrics.
@@ -404,7 +412,7 @@ def run_pipeline(X, y, phi_ds, seeds, mode: str = "calibrated",
         try:
             if mode == "calibrated":
                 report.runs.extend(
-                    _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg))
+                    _calibrated_seed(X, y, phi_list, seed, base_cfg))
             else:
                 report.runs.extend(
                     _direct_seed(X, y, phi_list, seed, base_cfg))
@@ -430,7 +438,7 @@ def _seed_config(base_cfg: TrainConfig, phi: float, seed: int) -> TrainConfig:
                    seed=seed)
 
 
-def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
+def _calibrated_seed(X, y, phi_list, seed, base_cfg):
     parts = split(X.shape[0], "70/15/15", seed)
     stats = NormalizationStats.fit(X[parts.train], y[parts.train])
     Xtr, ytr = stats.apply(X[parts.train], y[parts.train])
@@ -442,9 +450,8 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg, search_cfg):
 
     runs = []
     for phi_d in phi_list:
-        scfg = (replace(search_cfg, phi_d=phi_d) if search_cfg
-                else SearchConfig(phi_d=phi_d))
-        cal = calibrate_search(fitted.params, Xcal, ycal, scfg)
+        cal = calibrate_search(fitted.params, Xcal, ycal,
+                               SearchConfig(phi_d=phi_d))
         metrics = interval_metrics(fitted.params, Xte, yte, cal.alpha_star,
                                    cfg.planes)
         runs.append(SeedRun(seed=seed, **cal.as_dict(), **metrics))

@@ -15,6 +15,7 @@ mapped through softplus, so a plain Adam loop needs no projection step.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,12 @@ class TrainConfig:
             raise ValueError("need at least one rule")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        # NaN fails the comparison too
-        if not 0.0 < self.lr < np.inf:
+        # NaN fails the comparison too, and so does an int past the float
+        # range, which float() could not convert
+        if not 0.0 < self.lr <= sys.float_info.max:
             raise ValueError(f"lr must be a finite learning rate above 0, "
                              f"got {self.lr!r}")
+        object.__setattr__(self, "lr", float(self.lr))
         if self.point_output not in ("alpha0", "plane-stack"):
             raise ValueError(f"unknown point_output {self.point_output!r}")
         if not self.planes:

@@ -21,7 +21,6 @@ from gt2cal.calibration import (
     read_calibration_curve,
     search_alpha,
     _coverage_oracle,
-    _isotonic_decreasing,
 )
 from gt2cal.core import ModelParams, trs_batch
 from gt2cal.errors import DegenerateFiringError, FlatCurveError
@@ -104,25 +103,6 @@ class TestCoverageAtAlpha:
         assert coverage_at_alpha(tight, X, y, 1.0) == 0.0
 
 
-class TestIsotonicRepair:
-    def test_already_monotone_unchanged(self):
-        v = np.array([0.9, 0.7, 0.5, 0.2])
-        np.testing.assert_array_equal(_isotonic_decreasing(v), v)
-
-    def test_single_violation_pooled(self):
-        v = np.array([0.9, 0.5, 0.6, 0.2])
-        out = _isotonic_decreasing(v)
-        np.testing.assert_allclose(out, [0.9, 0.55, 0.55, 0.2])
-        assert np.all(np.diff(out) <= 0)
-
-    def test_random_inputs_non_increasing(self, rng):
-        for _ in range(50):
-            v = rng.random(int(rng.integers(2, 15)))
-            out = _isotonic_decreasing(v)
-            assert np.all(np.diff(out) <= 1e-15)
-            assert out.sum() == pytest.approx(v.sum(), abs=1e-9)
-
-
 class TestAlphaGrid:
     def test_tenth_step(self):
         grid = alpha_grid(0.1)
@@ -184,12 +164,14 @@ class TestLookupTable:
             ([0.001, 0.5], [1, 0]),
             ([0.5], [1.0]),
             ([0.01, np.nan], [0.9, 0.4]),
-            # NaN compares false, so it would also skip the isotonic repair
+            # NaN compares false, so it would also pass the order check
             ([0.01, 0.5], [np.nan, 0.4]),
             ([0.01, 0.5], [0.9, np.nan]),
             ([0.01, 0.5], [np.inf, 0.4]),
             ([0.01, 0.5], [1.2, 0.4]),
             ([0.01, 0.5], [0.9, -0.1]),
+            # coverage that rises with alpha is rejected, not repaired
+            ([0.01, 0.5, 1.0], [0.9, 0.5, 0.6]),
         ]
         for alphas, phis in cases:
             with pytest.raises(ValueError):
@@ -230,7 +212,8 @@ class TestCurveExport:
         assert np.all(np.diff(phis) <= 0)
 
     @pytest.mark.parametrize("text", ["", "alpha,phi\n0.01,0.9\n0.5\n",
-                                      "alpha,phi\n0.01,abc\n"])
+                                      "alpha,phi\n0.01,abc\n",
+                                      "alpha,phi\n0.01,0.5\n1.0,0.9\n"])
     def test_malformed_file_names_the_file(self, tmp_path, text):
         path = tmp_path / "curve.csv"
         path.write_text(text)
@@ -592,15 +575,14 @@ class TestBisectionTable:
         assert np.all(hits[kind == 1, np.searchsorted(grid, at)])
         raw = np.array([coverage_at_alpha(m, X, y, a) for a in grid])
         np.testing.assert_array_equal(raw, hits.mean(axis=0))
-        want = CalibrationTable(grid, raw)
         got = build_lookup_table(m, X, y, delta)
-        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.alphas, grid)
         # a target within rounding of a bound that moves by an ulp from
         # slice to slice can be covered at a slice and not at a lower one;
         # only such rows may then count differently, each by 1/Q
         unnested = np.any(np.diff(hits.astype(int), axis=1) > 0, axis=1)
         if not np.any(unnested):
-            np.testing.assert_array_equal(got.phis, want.phis)
+            np.testing.assert_array_equal(got.phis, raw)
         else:
             assert np.all(np.diff(got.phis) <= 0.0)
             assert np.all(np.abs(got.phis - raw) <= unnested.sum() / Q + 1e-12)

@@ -45,7 +45,7 @@ class TestTrainCommand:
                      "--taus", "0.1", "0.9", "--rules", "2", "--epochs", "2",
                      "--out", str(out)])
         assert code == 0
-        assert load_model(out).train_config["tau_hi"] == 0.9
+        assert load_model(out).train_config.tau_hi == 0.9
 
 
 class TestCalibrateCommand:
@@ -100,6 +100,21 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--model", str(trained_model[0]),
                      "--data", str(bad), "--target", "t"])
         assert code == 1
+
+    @pytest.mark.parametrize("metadata", [
+        {"seed": 1.5}, {"seed": "x"}, {"scheme": ["a"]}])
+    def test_unredoable_split_is_an_error_not_a_traceback(
+            self, tmp_path, capsys, dataset_csv, trained_model, metadata):
+        # unchecked, such metadata would reach split() and raise TypeError
+        doc = json.loads(trained_model[0].read_text())
+        doc["metadata"].update(metadata)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(model), "--data",
+                     str(dataset_csv), "--target", "target",
+                     "--split", "test"])
+        assert code == 2
+        assert "metadata" in capsys.readouterr().err
 
 
 class TestCurveCommand:
@@ -183,10 +198,11 @@ class TestReportCommand:
         assert f"spec key {key!r}" in captured.err
         assert captured.out == ""
 
-    # Python's json reads NaN and Infinity as floats, so they pass the type
-    # check; the value check runs before the dataset loads
+    # Python's json reads NaN and Infinity as floats and a 401-digit number
+    # as an int, so they pass the type check; the value check runs before
+    # the dataset loads
     @pytest.mark.parametrize("lr", ["NaN", "Infinity", "-Infinity", "0",
-                                    "0.0", "-0.001"])
+                                    "0.0", "-0.001", "1" + "0" * 400])
     def test_spec_learning_rate_out_of_range_is_usage_error(
             self, tmp_path, capsys, monkeypatch, lr):
         def no_load(*args):
@@ -239,7 +255,7 @@ class TestUsageAndErrors:
                      "--target", "target", "--rules", "3", "--out", str(out)])
         assert code == 0
         bundle = load_model(out)
-        assert bundle.train_config["epochs"] == 2   # from config file
+        assert bundle.train_config.epochs == 2      # from config file
         assert bundle.params.n_rules == 3           # flag overrides config
 
     def test_config_file_with_equals_form(self, tmp_path, dataset_csv):
@@ -250,7 +266,7 @@ class TestUsageAndErrors:
                      "--target", "target", "--out", str(out)])
         assert code == 0
         bundle = load_model(out)
-        assert bundle.train_config["epochs"] == 2
+        assert bundle.train_config.epochs == 2
         assert bundle.params.n_rules == 2
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gt2cal.cli import UsageError, _rows_for_split
 from gt2cal.core import DEFAULT_PLANES, predict_batch
 from gt2cal.errors import DegenerateFiringError, SchemaError
 from gt2cal.harness import (
@@ -180,7 +181,7 @@ class TestPersistence:
                                           getattr(m, f))
         np.testing.assert_array_equal(bundle.stats.x_mean, stats.x_mean)
         assert bundle.metadata["note"] == "roundtrip"
-        assert bundle.train_config["epochs"] == 300
+        assert bundle.train_config == TrainConfig()
 
     def test_predictions_identical_after_roundtrip(self, tmp_path, rng):
         m = random_model(rng, n_rules=5, n_inputs=2)
@@ -268,7 +269,8 @@ _FIELD_PATHS = (
     + [("params", f) for f in ("c", "sigma", "sigma_l", "sigma_r", "a", "a0")]
     + [("normalization",)]
     + [("normalization", k) for k in ("x_mean", "x_std", "y_mean", "y_std")]
-    + [("train_config",), ("train_config", "planes"), ("metadata",)])
+    + [("train_config",), ("train_config", "planes"), ("metadata",)]
+    + [("metadata", "scheme"), ("metadata", "seed")])
 
 # Finite values span the whole float64 range: a model that loads must run
 # also with consequents near the float limit.
@@ -296,7 +298,8 @@ def saved_model(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
     stats = NormalizationStats.fit(rng.normal(size=(30, 2)), rng.normal(size=30))
     save_model(path, random_model(rng, n_rules=3, n_inputs=2), stats=stats,
-               train_config=TrainConfig())
+               train_config=TrainConfig(),
+               metadata={"scheme": "70/15/15", "seed": 3})
     return path, json.loads(path.read_text())
 
 
@@ -325,9 +328,15 @@ class TestModelFileFuzz:
             bundle = load_model(path)
         except SchemaError:
             return
+        # the file's split, as ``gt2cal evaluate --split test`` redoes it
+        try:
+            _rows_for_split(bundle.metadata, 20, "test", 0)
+        except UsageError:
+            pass  # trained without a split: --split all is required
         X = np.zeros((1, bundle.params.n_inputs))
         # at the file's own planes, as ``gt2cal evaluate`` runs it
-        planes = (bundle.train_config or {}).get("planes") or DEFAULT_PLANES
+        planes = (DEFAULT_PLANES if bundle.train_config is None
+                  else bundle.train_config.planes)
         try:
             out = predict_batch(X, 0.37, bundle.params, planes)
         except DegenerateFiringError:
@@ -407,9 +416,25 @@ class TestTrainConfigBlockChecks:
         with pytest.raises(SchemaError, match="train_config"):
             load_model(path)
 
-    def test_valid_block_loads_as_a_dict(self, tmp_path, rng):
+    def test_valid_block_loads_as_a_train_config(self, tmp_path, rng):
         path = self._write(tmp_path, rng, planes=[0.5, 1.0])
-        assert load_model(path).train_config["planes"] == [0.5, 1.0]
+        assert load_model(path).train_config.planes == (0.5, 1.0)
+
+
+class TestMetadataSplitChecks:
+    """A model file loads only if ``--split`` can redo the split its
+    metadata names: ``gt2cal evaluate --split test`` runs it."""
+
+    @pytest.mark.parametrize("metadata", [
+        {"seed": 1.5}, {"seed": "x"}, {"seed": True}, {"seed": -1},
+        {"seed": None}, {"scheme": ["a"]}, {"scheme": "60/20/20"},
+        {"scheme": None}])
+    def test_unredoable_split_does_not_load(self, tmp_path, rng, metadata):
+        path = tmp_path / "model.json"
+        save_model(path, random_model(rng, n_rules=3, n_inputs=2),
+                   metadata={"scheme": "70/15/15", "seed": 3, **metadata})
+        with pytest.raises(SchemaError, match="metadata"):
+            load_model(path)
 
 
 @pytest.fixture(scope="module")

@@ -127,10 +127,14 @@ class TestTrainConfig:
             TrainConfig(**kw)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.0,
-                                    -1e-3])
+                                    -1e-3, 10 ** 400])
     def test_rejects_invalid_learning_rate(self, lr):
         with pytest.raises(ValueError, match=r"^lr must be"):
             TrainConfig(lr=lr)
+
+    def test_learning_rate_is_stored_as_a_float(self):
+        # Adam multiplies by it: an int must not reach the update
+        assert type(TrainConfig(lr=1).lr) is float
 
     @pytest.mark.parametrize("plane", [0.0, np.nan, 1.5, "a"])
     def test_rejects_plane_outside_the_slice_range(self, plane):
