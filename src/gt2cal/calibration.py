@@ -14,7 +14,9 @@ A sampled curve that rises with alpha is rejected, not repaired.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -297,10 +299,19 @@ class SearchConfig:
             raise ValueError("shrink factor must lie in (0, 1)")
         object.__setattr__(self, "alpha_init",
                            _alpha_levels(float(self.alpha_init)))
-        if self.delta <= 0.0:
-            raise ValueError("initial step must be positive")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("tolerance must be positive")
+        # NaN fails each comparison.  A tolerance of 1 accepts any probe:
+        # it is the default tolerance of a one-row calibration set
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"initial step must be finite and positive, "
+                             f"got {self.delta!r}")
+        if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
+            raise ValueError(f"tolerance must lie in (0, 1], "
+                             f"got {self.epsilon!r}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, "
+                             f"got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)

@@ -538,8 +538,7 @@ def _km_sorted(fls, fus, ys, order):
                                den_lo=den_lo, den_hi=den_hi)
 
 
-def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
-                    return_internals: bool = False):
+def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray):
     """
     Karnik-Mendel type reduction for a batch of rule firings.
 
@@ -553,8 +552,7 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
 
     Returns
     -------
-    (lo, hi) arrays of shape (B,), plus a :class:`KMInternals` when
-    ``return_internals`` is true.
+    (lo, hi) arrays of shape (B,).
     """
     fl = np.asarray(f_lower, dtype=float)
     fu = np.asarray(f_upper, dtype=float)
@@ -564,9 +562,8 @@ def km_reduce_batch(f_lower: np.ndarray, f_upper: np.ndarray, y: np.ndarray,
     _check_firing(fu.T)
 
     order = np.argsort(y, axis=1, kind="stable")
-    lo, hi, km = _km_sorted(*(np.take_along_axis(a, order, axis=1).T
-                              for a in (fl, fu, y)), order.T)
-    return (lo, hi, km) if return_internals else (lo, hi)
+    return _km_sorted(*(np.take_along_axis(a, order, axis=1).T
+                        for a in (fl, fu, y)), order.T)[:2]
 
 
 def km_type_reduce(f: FiringIntervals, y: np.ndarray) -> TypeReducedSet:

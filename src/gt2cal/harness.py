@@ -453,7 +453,7 @@ def _calibrated_seed(X, y, phi_list, seed, base_cfg):
         cal = calibrate_search(fitted.params, Xcal, ycal,
                                SearchConfig(phi_d=phi_d))
         metrics = interval_metrics(fitted.params, Xte, yte, cal.alpha_star,
-                                   cfg.planes)
+                                   cfg.point_planes)
         runs.append(SeedRun(seed=seed, **cal.as_dict(), **metrics))
     return runs
 
@@ -469,7 +469,7 @@ def _direct_seed(X, y, phi_list, seed, base_cfg):
         cfg = _seed_config(base_cfg, phi_d, seed)
         fitted = train(Xtr, ytr, cfg)
         metrics = interval_metrics(fitted.params, Xte, yte, ALPHA_MIN,
-                                   cfg.planes)
+                                   cfg.point_planes)
         runs.append(SeedRun(seed=seed, phi_d=phi_d, **metrics))
     return runs
 

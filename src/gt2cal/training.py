@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -59,6 +60,15 @@ class TrainConfig:
     point_output: str = "alpha0"  # "alpha0" or "plane-stack"
 
     def __post_init__(self):
+        # a bool is an int, but no count, seed or rate
+        for kind, noun, names in (
+                (Integral, "an integer",
+                 ("epochs", "minibatch", "n_rules", "seed")),
+                (Real, "a real number", ("tau_lo", "tau_hi", "lr"))):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {noun}, got {value!r}")
         if not (0.0 < self.tau_lo < 0.5 < self.tau_hi < 1.0):
             raise ValueError("quantile levels must satisfy 0 < tau_lo < 0.5 < tau_hi < 1")
         if self.minibatch < 1:
@@ -67,6 +77,8 @@ class TrainConfig:
             raise ValueError("need at least one rule")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         # NaN fails the comparison too, and so does an int past the float
         # range, which float() could not convert
         if not 0.0 < self.lr <= sys.float_info.max:
@@ -79,6 +91,14 @@ class TrainConfig:
             raise ValueError("plane stack must contain at least one alpha level")
         for p in self.planes:
             _alpha_levels(float(p))
+
+    @property
+    def point_planes(self) -> tuple[float, ...]:
+        """The slice levels whose alpha-weighted centres make the trained
+        point: the bottom slice alone for ``alpha0``, ``planes`` for
+        ``plane-stack``.  :func:`~gt2cal.core.predict_batch` at these
+        planes serves the point the loss fitted."""
+        return (ALPHA_MIN,) if self.point_output == "alpha0" else self.planes
 
     @classmethod
     def for_coverage(cls, phi: float, **overrides) -> "TrainConfig":
@@ -244,7 +264,10 @@ def _forward_at(X, y, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
     terms = batch_terms(X, params)
 
     # the bottom slice always runs (the pinball loss reads it); in the
-    # point it weighs its alpha only if the plane stack serves it
+    # point it weighs its alpha only if the plane stack serves it.  The
+    # point is the alpha-weighted centre over ``cfg.point_planes``; alone,
+    # the bottom slice weighs 1.0 here and its alpha in ``predict_batch``,
+    # so the two points can differ by an ulp
     alphas, weights = [ALPHA_MIN], [1.0]
     if cfg.point_output == "plane-stack":
         alphas += [a for a in cfg.planes if a != ALPHA_MIN]

@@ -266,9 +266,28 @@ class TestSearch:
         for kw in ({"phi_d": 0.99}, {"phi_d": 0.0},
                    {"phi_d": 0.9, "gamma": 1.0},
                    {"phi_d": 0.9, "alpha_init": 0.001},
-                   {"phi_d": 0.9, "epsilon": 0.0}):
+                   {"phi_d": 0.9, "epsilon": 0.0},
+                   # NaN and inf steps and tolerances, and iteration caps
+                   # that are no positive integer
+                   {"phi_d": 0.9, "delta": np.nan},
+                   {"phi_d": 0.9, "delta": np.inf},
+                   {"phi_d": 0.9, "delta": 0.0},
+                   {"phi_d": 0.9, "epsilon": np.nan},
+                   {"phi_d": 0.9, "epsilon": np.inf},
+                   {"phi_d": 0.9, "epsilon": 1.5},
+                   {"phi_d": 0.9, "max_iters": 0},
+                   {"phi_d": 0.9, "max_iters": 2.5},
+                   {"phi_d": 0.9, "max_iters": True}):
             with pytest.raises(ValueError):
                 SearchConfig(**kw)
+
+    def test_one_calibration_row_gets_the_default_tolerance(self, rng):
+        # max(0.005, 1/Q) is 1 at Q = 1, the calibration split of 10 rows
+        # under 70/15/15: a tolerance of 1 stays valid
+        m = random_model(rng, n_rules=3, n_inputs=1)
+        X = np.zeros((1, 1))
+        res = calibrate_search(m, X, [0.0], SearchConfig(phi_d=0.8))
+        assert (res.alpha_star, res.iterations, res.converged) == (0.5, 0, True)
 
     def test_many_random_targets_converge(self, rng):
         for _ in range(20):

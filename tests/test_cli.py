@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from gt2cal.cli import main
+from gt2cal.cli import _load_dataset, _rows_for_split, main
 from gt2cal.harness import load_model, synthetic_heteroscedastic
+from gt2cal.training import _forward_at
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,31 @@ class TestEvaluateCommand:
         assert 0.8 <= float(metrics["picp"]) <= 1.0
         assert float(metrics["pinaw"]) > 0
 
+    @pytest.mark.parametrize("block", ["kept", "null"])
+    def test_scores_the_trained_point(self, tmp_path, capsys, dataset_csv,
+                                      trained_model, block):
+        # the model trained the bottom slice's centre (alpha0, the
+        # TrainConfig default a file without a training block is served as)
+        model = trained_model[0]
+        bundle = load_model(model)
+        if block == "null":
+            doc = json.loads(model.read_text())
+            doc["train_config"] = None
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(doc))
+        code = main(["--seed", "3", "evaluate", "--model", str(model),
+                     "--data", str(dataset_csv), "--target", "target",
+                     "--split", "test"])
+        assert code == 0
+        metrics = dict(line.split()
+                       for line in capsys.readouterr().out.splitlines())
+        X, y, _ = _load_dataset(str(dataset_csv), "target", 3)
+        rows = _rows_for_split(bundle.metadata, len(y), "test", 3)
+        Xz, yz = bundle.stats.apply(X[rows], y[rows])
+        trained = _forward_at(Xz, yz, bundle.params, bundle.train_config).point
+        assert float(metrics["rmse"]) == pytest.approx(
+            float(np.sqrt(np.mean((yz - trained) ** 2))), abs=5e-7)
+
     def test_feature_mismatch_is_usage_error(self, tmp_path, trained_model):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,t\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n"
@@ -174,7 +201,8 @@ class TestReportCommand:
         spec.write_text(json.dumps({**doc, key: value}))
         assert main(["report", "--spec", str(spec)]) == 1
         captured = capsys.readouterr()
-        assert f"spec key {key!r}" in captured.err
+        # TrainConfig's own check, which names the field
+        assert f"usage error: spec: {key} must be" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("key, value", [

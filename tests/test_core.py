@@ -22,6 +22,7 @@ from gt2cal.core import (
     smf_bounds,
     spread_scale,
     trs_batch,
+    _km_sorted,
     _product_tnorm,
     _ROW_BLOCK,
 )
@@ -400,7 +401,14 @@ class TestKarnikMendel:
         fu[:, 0] = np.maximum(fu[:, 0], 0.5)  # keep total firing alive
         fl = fu * rng.random((B, P))
         fl[rng.random((B, P)) < 0.3] = 0.0
-        lo, hi, km = km_reduce_batch(fl, fu, y, return_internals=True)
+        # the internals, from the rules stably sorted by consequent as
+        # km_reduce_batch sorts them; its bounds are the same
+        order = np.argsort(y, axis=1, kind="stable")
+        lo, hi, km = _km_sorted(*(np.take_along_axis(a, order, axis=1).T
+                                  for a in (fl, fu, y)), order.T)
+        got = km_reduce_batch(fl, fu, y)
+        np.testing.assert_array_equal(got[0], lo)
+        np.testing.assert_array_equal(got[1], hi)
         rank = np.argsort(km.order.T, axis=1)  # order is (P, B)
         w_lo = np.where(rank < km.L[:, None], fu, fl)
         w_hi = np.where(rank < km.R[:, None], fl, fu)

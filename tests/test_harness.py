@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gt2cal.cli import UsageError, _rows_for_split
-from gt2cal.core import DEFAULT_PLANES, predict_batch
+from gt2cal.core import predict_batch
 from gt2cal.errors import DegenerateFiringError, SchemaError
 from gt2cal.harness import (
     NormalizationStats,
+    _seed_config,
     format_report,
     load_csv,
     load_model,
@@ -19,7 +20,7 @@ from gt2cal.harness import (
     split,
     synthetic_heteroscedastic,
 )
-from gt2cal.training import TrainConfig, train
+from gt2cal.training import ENVELOPE, TrainConfig, _forward_at, train
 
 from conftest import random_model
 
@@ -334,14 +335,15 @@ class TestModelFileFuzz:
         except UsageError:
             pass  # trained without a split: --split all is required
         X = np.zeros((1, bundle.params.n_inputs))
-        # at the file's own planes, as ``gt2cal evaluate`` runs it
-        planes = (DEFAULT_PLANES if bundle.train_config is None
-                  else bundle.train_config.planes)
-        try:
-            out = predict_batch(X, 0.37, bundle.params, planes)
-        except DegenerateFiringError:
-            return
-        assert all(np.all(np.isfinite(v)) for v in out)
+        # at the planes of the point the file trained, as ``gt2cal
+        # evaluate`` serves it, and at the file's own planes
+        cfg = bundle.train_config or TrainConfig()
+        for planes in (cfg.point_planes, cfg.planes):
+            try:
+                out = predict_batch(X, 0.37, bundle.params, planes)
+            except DegenerateFiringError:
+                return
+            assert all(np.all(np.isfinite(v)) for v in out)
 
 
 class TestNormalizationBlockChecks:
@@ -410,7 +412,7 @@ class TestTrainConfigBlockChecks:
 
     @pytest.mark.parametrize("overrides", [
         {"planes": [0.0]}, {"planes": "abc"}, {"planes": []},
-        {"point_output": "typo"}, {"n_layers": 2}])
+        {"point_output": "typo"}, {"n_layers": 2}, {"epochs": 2.5}])
     def test_rejected_block_does_not_load(self, tmp_path, rng, overrides):
         path = self._write(tmp_path, rng, **overrides)
         with pytest.raises(SchemaError, match="train_config"):
@@ -470,6 +472,25 @@ class TestPipeline:
         vals = [r.picp for r in cal.runs_for(0.8)]
         assert mean == pytest.approx(np.mean(vals), abs=1e-12)
         assert std == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
+
+    @pytest.mark.parametrize("mode, scheme, phi", [
+        ("calibrated", "70/15/15", ENVELOPE), ("direct", "85/15", 0.8)])
+    def test_seed_records_the_trained_point_rmse(self, small_pipeline_reports,
+                                                 mode, scheme, phi):
+        # the default alpha0 fit trains the bottom slice's centre: that is
+        # the point a seed scores, not the centre of the plane stack
+        rep = dict(zip(("calibrated", "direct"), small_pipeline_reports))[mode]
+        X, y = synthetic_heteroscedastic(400, seed=0)
+        parts = split(len(y), scheme, 1)
+        stats = NormalizationStats.fit(X[parts.train], y[parts.train])
+        Xtr, ytr = stats.apply(X[parts.train], y[parts.train])
+        Xte, yte = stats.apply(X[parts.test], y[parts.test])
+        cfg = _seed_config(TrainConfig(n_rules=4, epochs=40, seed=0), phi, 1)
+        params = train(Xtr, ytr, cfg).params
+        trained = _forward_at(Xte, yte, params, cfg).point
+        assert rep.runs_for(0.8)[0].seed == 1
+        assert rep.runs_for(0.8)[0].rmse == pytest.approx(rmse(yte, trained),
+                                                          rel=1e-12)
 
     def test_five_seed_report_has_row_per_seed(self):
         X, y = synthetic_heteroscedastic(300, seed=5)

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gt2cal.core import DEFAULT_PLANES, ModelParams, predict_batch
+from gt2cal.core import ALPHA_MIN, DEFAULT_PLANES, ModelParams, predict_batch
 from gt2cal.errors import DivergenceError
 from gt2cal.training import (
     AdamState,
     RawParams,
     TrainConfig,
     _forward,
+    _forward_at,
     adam_step,
     init_raw,
     inv_softplus,
@@ -121,6 +122,10 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"tau_lo": 0.6}, {"tau_hi": 0.4}, {"minibatch": 0},
         {"n_rules": 0}, {"point_output": "typo"},
+        # each field's type: a bool is no integer and no real number
+        {"epochs": 2.5}, {"epochs": "2"}, {"minibatch": True},
+        {"n_rules": 3.0}, {"seed": 1.5}, {"seed": -1}, {"seed": None},
+        {"lr": "0.1"}, {"lr": True}, {"tau_lo": "a"}, {"tau_hi": None},
     ])
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -433,19 +438,37 @@ class TestTraining:
 
 
 class TestPointOutput:
+    @staticmethod
+    def _trained_and_served(cfg):
+        """The point the loss fits and the one predict_batch serves at
+        ``cfg.point_planes``, on 200 rows after a short fit."""
+        X, y = heteroscedastic_line(200, seed=8)
+        Xz = (X - X.mean(0)) / X.std(0)
+        yz = (y - y.mean()) / y.std()
+        result = train(Xz, yz, cfg)
+        trained = _forward_at(Xz, yz, result.params, cfg).point
+        served = predict_batch(Xz, 0.5, result.params, cfg.point_planes)[2]
+        return trained, served
+
     @pytest.mark.parametrize("planes", [(0.5, 1.0), DEFAULT_PLANES])
     def test_trained_point_is_served_point(self, planes):
         # the point the loss fits is the one predict_batch reports, also
         # when the plane stack leaves out the bottom slice
-        X, y = heteroscedastic_line(200, seed=8)
-        Xz = (X - X.mean(0)) / X.std(0)
-        yz = (y - y.mean()) / y.std()
         cfg = TrainConfig(n_rules=3, epochs=2, seed=5, planes=planes,
                           point_output="plane-stack")
-        result = train(Xz, yz, cfg)
-        trained = _forward(Xz, yz, result.raw, cfg).point
-        served = predict_batch(Xz, 0.5, result.params, planes)[2]
+        assert cfg.point_planes == planes
+        trained, served = self._trained_and_served(cfg)
         np.testing.assert_allclose(trained, served, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("planes", [(0.5, 1.0), DEFAULT_PLANES])
+    def test_alpha0_point_is_served_at_the_bottom_slice(self, planes):
+        # alpha0 trains the bottom slice's centre whatever the planes are;
+        # the fit weighs it by 1.0 and predict_batch by its alpha, so the
+        # two can round an ulp apart
+        cfg = TrainConfig(n_rules=3, epochs=2, seed=5, planes=planes)
+        assert cfg.point_planes == (ALPHA_MIN,)
+        trained, served = self._trained_and_served(cfg)
+        np.testing.assert_array_max_ulp(trained, served, maxulp=1)
 
     def test_empty_plane_stack_rejected(self):
         # an empty stack would leave the point with no weight at all
