@@ -210,14 +210,16 @@ def build_lookup_table(params: ModelParams, X, y, delta: float) -> CalibrationTa
 def lookup_alpha(table: CalibrationTable, phi_d: float) -> LookupResult:
     """Invert the sampled curve at a coverage target.
 
-    Interpolates alpha piecewise-linearly as a function of coverage.  A
-    target outside the sampled coverage range clamps to the corresponding
-    end slice and flags the result.  Flat (constant-coverage) runs are
-    collapsed to their largest alpha, the narrowest interval achieving that
-    coverage; a fully flat table cannot be inverted.
+    Interpolates alpha piecewise-linearly as a function of coverage.  The
+    target must lie in (0, 1); one outside the sampled coverage range
+    clamps to the corresponding end slice and flags the result.  Flat
+    (constant-coverage) runs are collapsed to their largest alpha, the
+    narrowest interval achieving that coverage; a fully flat table cannot
+    be inverted.
     """
-    if not np.isfinite(phi_d):
-        raise ValueError(f"coverage target must be finite, got {phi_d!r}")
+    # NaN fails the comparison too
+    if not 0.0 < phi_d < 1.0:
+        raise ValueError(f"coverage target must lie in (0, 1), got {phi_d!r}")
     phis = table.phis
     alphas = table.alphas
     if phis.max() - phis.min() <= 0.0:

@@ -533,6 +533,13 @@ def _km_sorted(fls, fus, ys, order):
         lo[inverted] = mid
         hi[inverted] = mid
     if exp is not None:
+        # a bound can round an ulp or two past its row's extreme
+        # consequents, between which it lies mathematically.  Only where it
+        # reaches 1.0 in a row scaled by 2**-1024 would scaling back
+        # overflow; there alone it is pulled back to that extreme
+        for bound in (lo, hi):
+            over = (exp == 1024) & (np.abs(bound) >= 1.0)
+            bound[over] = np.clip(bound[over], ys[0, over], ys[-1, over])
         lo, hi = np.ldexp(lo, exp), np.ldexp(hi, exp)
     return lo, hi, KMInternals(order=order, L=L, R=R,
                                den_lo=den_lo, den_hi=den_hi)

@@ -80,6 +80,9 @@ def load_csv(path, target_column) -> LoadedDataset:
                 raise ValueError(
                     f"target column {target_column!r} not in header {header}")
             t_idx = header.index(target_column)
+        if len(header) < 2:
+            raise ValueError(f"{path} has only the target column "
+                             f"{header[t_idx]!r}; need at least one feature")
 
         rows = []
         n_dropped = 0

@@ -498,6 +498,20 @@ class TrainResult:
         return [tuple(h[c] for c in HISTORY_COLUMNS) for h in self.history]
 
 
+def _epoch_row(X, y, params: ModelParams, cfg: TrainConfig,
+               epoch: int) -> dict:
+    """The training-log entry of one epoch: the loss, bottom-slice PICP and
+    RMSE of one full-set pass, whose arrays die when this returns."""
+    fwd = _forward_at(X, y, params, cfg)
+    if not np.isfinite(fwd.loss):
+        raise DivergenceError(
+            f"non-finite training loss at epoch {epoch}", epoch=epoch)
+    covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
+    return dict(zip(HISTORY_COLUMNS, (
+        epoch, fwd.loss, float(covered),
+        float(np.sqrt(np.mean((y - fwd.point) ** 2))))))
+
+
 def train(X, y, cfg: TrainConfig) -> TrainResult:
     """
     Fit the rule base by minibatch Adam, in z-scored space.
@@ -511,8 +525,11 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
     softplus covers the three deviation families, which sit next to each
     other), and the gradient is written straight into one vector of the
     same layout.  Each epoch gathers its shuffled rows once and steps over
-    contiguous slices of them.  ``X`` and ``y`` are never written to, and
-    no array of the result shares memory with another or with the inputs.
+    contiguous slices of them, then evaluates the full set in one pass
+    that is not row-blocked; only that pass's log entry outlives it, so a
+    fit holds one full-set evaluation at a time.  ``X`` and ``y`` are
+    never written to, and no array of the result shares memory with
+    another or with the inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -550,16 +567,15 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
         # the peak memory of a fit
         del X_epoch, y_epoch
 
-        fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg)
-        if not np.isfinite(fwd.loss):
-            raise DivergenceError(
-                f"non-finite training loss at epoch {epoch}", epoch=epoch)
-        covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
-        history.append(dict(zip(HISTORY_COLUMNS, (
-            epoch, fwd.loss, float(covered),
-            float(np.sqrt(np.mean((y - fwd.point) ** 2)))))))
-        if fwd.loss < best_loss:
-            best_loss = fwd.loss
+        # one pass over all rows, not row-blocked: blocks would be bit for
+        # bit and save little memory, but the smaller heap they leave
+        # makes later calibration probes page (README, "Conventions worth
+        # knowing").  Only its log entry outlives the call, so a fit holds
+        # one such pass at a time
+        row = _epoch_row(X, y, _flat_params(theta, P, M), cfg, epoch)
+        history.append(row)
+        if row["loss"] < best_loss:
+            best_loss = row["loss"]
             best_theta = theta
             best_epoch = epoch
 

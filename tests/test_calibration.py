@@ -180,7 +180,8 @@ class TestLookupTable:
     def test_rejects_non_finite_target(self):
         table = CalibrationTable(alphas=np.array([0.01, 1.0]),
                                  phis=np.array([0.9, 0.4]))
-        for phi_d in (np.nan, np.inf, -np.inf):
+        # and every target that is not a probability strictly inside (0, 1)
+        for phi_d in (np.nan, np.inf, -np.inf, 1.5, 1.0, 0.0, -1.0):
             with pytest.raises(ValueError):
                 lookup_alpha(table, phi_d)
 

@@ -76,6 +76,18 @@ class TestCalibrateCommand:
         assert len(rows) == 12  # header + 11 grid points
 
     @pytest.mark.parametrize("method", ["search", "lookup"])
+    @pytest.mark.parametrize("phi_d", ["1.5", "0", "-1"])
+    def test_target_outside_the_unit_interval_is_rejected(
+            self, capsys, dataset_csv, trained_model, method, phi_d):
+        code = main(["--seed", "3", "calibrate", "--model", str(trained_model[0]),
+                     "--data", str(dataset_csv), "--target", "target",
+                     "--phi-d", phi_d, "--method", method])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "coverage target" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["search", "lookup"])
     def test_zero_delta_is_rejected(self, dataset_csv, trained_model, method):
         code = main(["--seed", "3", "calibrate", "--model", str(trained_model[0]),
                      "--data", str(dataset_csv), "--target", "target",
@@ -274,6 +286,16 @@ class TestUsageAndErrors:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                      "--data", "synthetic:50"]) == 2
+
+    def test_csv_with_only_the_target_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "y_only.csv"
+        data.write_text("y\n" + "\n".join(str(i) for i in range(20)) + "\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--target", "y",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "y_only.csv" in err and "'y'" in err
+        assert not out.exists()
 
     def test_config_file_defaults_and_overrides(self, tmp_path, dataset_csv):
         cfg = tmp_path / "conf.txt"

@@ -430,6 +430,15 @@ class TestKarnikMendel:
         lo, hi = trs_batch(np.zeros((1, 1)), 0.37, wide)
         np.testing.assert_allclose([lo[0], hi[0]], 1e308, rtol=1e-15, atol=0)
 
+    def test_bound_rounding_past_a_consequent_at_the_float_limit(self):
+        # the upper bound rounds past the largest consequent, one ulp
+        # below the float maximum, in the scaled sums
+        top = np.nextafter(np.finfo(float).max, 0.0)
+        fl = np.array([[5.55140089e-301, 4.34160349e-2, 8.42008859e-2]])
+        fu = np.array([[0.93929508, 1.0, 1.0]])
+        lo, hi = km_reduce_batch(fl, fu, np.array([[0.0, top, top]]))
+        assert 0.0 <= lo[0] <= hi[0] == top
+
     def test_scaled_row_leaves_other_rows_of_the_batch_alone(self, rng):
         fu = 0.5 + 0.5 * rng.random((6, 3))
         fl = fu * rng.random((6, 3))

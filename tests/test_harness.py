@@ -64,6 +64,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="target column"):
             load_csv(p, "zzz")
 
+    @pytest.mark.parametrize("target", ["y", 0])
+    def test_target_column_alone_is_rejected(self, tmp_path, target):
+        p = tmp_path / "y_only.csv"
+        write_csv(p, ["y"], [[1], [2], [3]])
+        with pytest.raises(ValueError, match=r"y_only\.csv.*'y'"):
+            load_csv(p, target)
+
     def test_all_rows_unusable(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["a", "b"], [["x", "y"]])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -588,3 +589,30 @@ class TestTrainingAliasing:
         train(X, y, replace(_BASE, seed=5, lr=0.5))
         train(X, y, _BASE)
         assert _result_bytes(first) == before
+
+
+class TestTrainingMemory:
+    """A fit holds one epoch-end full-set evaluation at a time, so more
+    epochs do not raise its peak memory."""
+
+    @staticmethod
+    def _traced_peak(X, y, cfg):
+        tracemalloc.start()
+        try:
+            train(X, y, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("point_output", ["alpha0", "plane-stack"])
+    def test_more_epochs_do_not_raise_the_peak(self, point_output):
+        n, M, P = 3000, 4, 10
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, M))
+        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
+        cfg = TrainConfig(n_rules=P, epochs=1, seed=1,
+                          point_output=point_output)
+        one = self._traced_peak(X, y, cfg)
+        three = self._traced_peak(X, y, replace(cfg, epochs=3))
+        # a second live pass would add at least one (M, P, n) array
+        assert three - one < 0.5 * M * P * n * 8
