@@ -7,7 +7,8 @@ piece signatures, batched prediction over one and several row blocks and
 at every slice grouping, single-row prediction, search calibration (also
 down to the step floor and from both ends of the slice range), the
 lookup table (also the table and searches with half of the targets on a
-slice's bounds, where rows can fail to nest by an ulp), one-slice bounds and coverage, and the Karnik-Mendel
+slice's bounds, where rows can fail to nest by an ulp), one-slice bounds
+(also over more than 1024 rows) and coverage, and the Karnik-Mendel
 switch counts and weight totals of one slice (also for a 1-rule model,
 a 2-rule model with tied consequents and more than 1024 rows), all on
 seeded synthetic data (4 inputs, 10 rules) made here with numpy alone.
@@ -199,10 +200,15 @@ def main():
             s = slice_forward(terms, alpha, m)
             emit(f"slice_forward{name}.alpha{alpha}", s.lo, s.hi, s.km.L,
                  s.km.R, s.km.den_lo, s.km.den_hi)
-    # 1200 rows: more than one Karnik-Mendel row block
-    s = slice_forward(batch_terms(np.vstack([X, Xc]), params), 0.37, params)
+    # 1200 rows: more than one Karnik-Mendel row block, and two row blocks
+    # of trs_batch
+    X_all = np.vstack([X, Xc])
+    s = slice_forward(batch_terms(X_all, params), 0.37, params)
     emit("slice_forward.all-rows.alpha0.37", s.lo, s.hi, s.km.L, s.km.R,
          s.km.den_lo, s.km.den_hi)
+    for alpha in (0.01, 0.37, 1.0):
+        emit(f"trs_batch.all-rows.alpha{alpha}",
+             *trs_batch(X_all, alpha, params))
 
     m12, X12, y12 = wide_model(SEED)
     s = slice_forward(batch_terms(X12, m12), 0.37, m12)

@@ -9,16 +9,24 @@ rule firings into an output interval ``[lo, hi]``, and averaging reduced
 intervals over a stack of alpha levels gives the crisp point output.
 
 The slice path keeps its arrays input-major, with the rows of the batch
-on the last, contiguous axis: memberships and their bounds are
-(M, P, B), rule firings and sorted consequents (P, B), and the
-Karnik-Mendel workspace is candidate-major, (P+1, 2, 4, B).  Every sum
-of a slice then runs down its first axis, one contiguous B-long slab per
-add: the t-norm adds one slab per input and the reduction one per switch
-candidate, and neither transposes its inputs.  Each add is the one the
-(B, P, M) layout made, in the same order, so the outputs are the same to
-the bit.  The public batch functions (:func:`pmf_batch`,
-:func:`firing_batch`, :func:`km_reduce_batch`) keep their row-major
-shapes.
+on the last, contiguous axis: memberships are (M, P, B), rule firings
+and sorted consequents (P, B), and the Karnik-Mendel workspace is
+candidate-major, (P+1, 2, 4, B).  Every sum of a slice then runs down
+its first axis, one contiguous B-long slab per add: the t-norm adds one
+slab per input and the reduction one per switch candidate, and neither
+transposes its inputs.  Each add is the one the (B, P, M) layout made,
+in the same order, so the outputs are the same to the bit.  The public
+batch functions (:func:`pmf_batch`, :func:`firing_batch`,
+:func:`km_reduce_batch`) keep their row-major shapes.
+
+A slice holds no (M, P, B) membership bounds: it widens, clamps and
+logs the memberships of a group of inputs at a time in one buffer
+(:func:`_group_size`), and the bounds that training's backward pass
+reads are computed when read, unless the slice was small enough to keep
+them.  :func:`batch_terms` writes memberships group by group straight
+into consequent order, and :func:`trs_batch` and :func:`predict_batch`
+run large batches in row blocks, so that the memberships of one block
+are the only (M, P, B) array a call of the slice path allocates.
 
 All functions here are pure; :class:`ModelParams` is treated as immutable,
 so inference may run concurrently across inputs and alpha levels.
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +59,10 @@ FIRING_EPS = 1e-15
 _LOG_FLOOR = 1e-300
 
 #: Most rows, or stacked (row, slice) pairs, one slice call of
-#: :func:`predict_batch` holds, so that each (M, P, rows) slice temporary
-#: stays within L2 cache for typical rule bases; also the most rows one
-#: Karnik-Mendel workspace holds.
+#: :func:`predict_batch` or :func:`trs_batch` holds, so that each
+#: (M, P, rows) temporary stays within L2 cache for typical rule bases;
+#: also the most rows one Karnik-Mendel workspace holds, and the most
+#: rows times inputs of one group of :func:`_group_size`.
 _ROW_BLOCK = 1024
 
 
@@ -256,14 +266,27 @@ def pmf_batch(X: np.ndarray, params: ModelParams) -> np.ndarray:
     contiguous.
     """
     X = _checked_inputs(X, params)
-    # every factor input-major and contiguous, so that numpy lays each
-    # temporary out as (M, P, B) too
-    x, c, sigma = (np.ascontiguousarray(a.T) for a in (X, params.c,
-                                                       params.sigma))
+    x, c, sigma = _input_major(X, params)
+    return _memberships(x, c, sigma, np.empty(c.shape + x.shape[1:])).T
+
+
+def _input_major(X: np.ndarray, params: ModelParams):
+    """``X``, ``c`` and ``sigma`` as contiguous (M, B), (M, P), (M, P)."""
+    return (np.ascontiguousarray(a.T) for a in (X, params.c, params.sigma))
+
+
+def _memberships(x: np.ndarray, c: np.ndarray, sigma: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Gaussian memberships of the (n, B) inputs ``x`` in rules with
+    (n, P) ``c`` and ``sigma``, computed in place in the (n, P, B) ``out``
+    by the operations of ``exp(-0.5 * ((x - c) / sigma) ** 2)``."""
     # a distance or ratio too large for a float has membership 0 all the same
     with np.errstate(over="ignore"):
-        d = x[:, None, :] - c[:, :, None]
-        return np.exp(-0.5 * (d / sigma[:, :, None]) ** 2).T
+        np.subtract(x[:, None, :], c[:, :, None], out=out)
+        out /= sigma[:, :, None]
+        np.square(out, out=out)
+        out *= -0.5
+        return np.exp(out, out=out)
 
 
 def _checked_inputs(X, params: ModelParams) -> np.ndarray:
@@ -297,44 +320,92 @@ def smf_bounds(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
     (lower, upper) arrays with the same shape as ``gamma``, satisfying
     lower <= gamma <= upper elementwise.
     """
-    k = spread_scale(alpha)
     gamma = np.asarray(gamma, dtype=float)
+    # lower and upper as one (2, ...) array
+    bounds = gamma + _spreads(gamma, alpha, params)
+    np.maximum(bounds[0], 0.0, out=bounds[0])
+    np.minimum(bounds[1], 1.0, out=bounds[1])
+    return bounds[0], bounds[1]
+
+
+def _spreads(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
+             params: ModelParams) -> np.ndarray:
+    """``-k * sigma_l`` and ``k * sigma_r``, ``k`` the :func:`spread_scale`
+    of ``alpha``, as one (2, M, 1, ...) array that broadcasts against the
+    (M, ...) memberships ``gamma``; per-row levels broadcast along the
+    last axis of an (M, P, B) ``gamma``."""
+    k = spread_scale(alpha)
     if isinstance(k, np.ndarray) and (gamma.ndim != 3
                                       or k.shape != gamma.shape[2:]):
         raise ValueError(f"per-row alpha of shape {k.shape} does not match "
                          f"memberships of shape {gamma.shape}")
-    # one spread per input, down the first axis; per-row levels broadcast
-    # along the last
-    per_input = (-1,) + (1,) * (gamma.ndim - 1)
+    per_input = (2, -1) + (1,) * (gamma.ndim - 1)
     # a spread too large for a float is inf, and the clamp gives its bound
     with np.errstate(over="ignore"):
-        upper = gamma + params.sigma_r.reshape(per_input) * k
-        np.minimum(upper, 1.0, out=upper)
-        lower = gamma - params.sigma_l.reshape(per_input) * k
-        np.maximum(lower, 0.0, out=lower)
-    return lower, upper
+        return np.array((-params.sigma_l, params.sigma_r)).reshape(
+            per_input) * k
 
 
 # ---------------------------------------------------------------------------
 # Rule firing
 # ---------------------------------------------------------------------------
 
-def _product_tnorm(mu: np.ndarray) -> np.ndarray:
-    """Product over the first (input) axis, in the log domain to survive
-    high M.
+def _group_size(B: int) -> int:
+    """Inputs per group for a batch of B rows, ``max(1, _ROW_BLOCK // B)``:
+    a group's buffer holds at most ``_ROW_BLOCK`` rows of rules, or one
+    (P, B) slab.  Up to ``_ROW_BLOCK // M`` rows, such as a training step
+    or one row's stacked slices, are one group of all M inputs."""
+    return max(1, _ROW_BLOCK // max(B, 1))
 
-    The M log-factors are added in input order, one in-place add of a
-    contiguous slab per input.  Each slab is floored and logged on its
-    own, so that no temporary is as large as ``mu``: a slice's peak memory
-    stays that of its bounds.  ``mu`` is never written to: callers keep
-    it.
+
+def _slice_firings(gamma: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
+                   params: ModelParams):
+    """The (P, B) lower and upper firings of a slice on (M, P, B)
+    memberships: the product t-norm over the input axis of each end of
+    :func:`smf_bounds`, in the log domain to survive high M.  Also returns
+    the bounds if the slice kept them, else ``None``.
+
+    The two ends run together, group by group (:func:`_group_size`), in
+    one (2, inputs, P, B) buffer: widen by the spread, clamp, floor at
+    ``_LOG_FLOOR``, log and add to the ends' totals, one (P, B) slab per
+    input, in input order, before one ``exp``.  Each value is the one the
+    bounds give, by the same operations (``gamma + (-s)`` is ``gamma - s``
+    to the bit), and ``gamma`` is never written to.
+
+    A slice of one group, at most ``_ROW_BLOCK`` rows of rules per end
+    such as a training step's, logs into a second buffer and keeps its
+    bounds: the step's backward pass reads them, and computing them again
+    would cost more than holding them.  A larger slice logs in place and
+    keeps none.
     """
-    total = np.maximum(mu[0], _LOG_FLOOR)
-    np.log(total, out=total)
-    for m in range(1, len(mu)):
-        logs = np.maximum(mu[m], _LOG_FLOOR)
-        total += np.log(logs, out=logs)
-    return np.exp(total, out=total)
+    gamma = np.asarray(gamma, dtype=float)
+    spreads = _spreads(gamma, alpha, params)
+    M, P, B = gamma.shape
+    step = _group_size(B)
+    keep = step >= M
+    buf = np.empty((2, min(step, M), P, B))
+    logs = np.empty_like(buf) if keep else buf
+    total = None
+    for start in range(0, M, step):
+        n = min(step, M - start)
+        bounds, out = buf[:, :n], logs[:, :n]
+        np.add(gamma[start:start + n], spreads[:, start:start + n],
+               out=bounds)
+        np.minimum(bounds[1], 1.0, out=bounds[1])
+        if keep:  # else the log floor clamps the lower end at 0
+            np.maximum(bounds[0], 0.0, out=bounds[0])
+        np.maximum(bounds, _LOG_FLOOR, out=out)
+        np.log(out, out=out)
+        # numpy sums down an axis one slab at a time, in order, except that
+        # it sums one-value slabs pairwise: those are added one by one
+        first = 0
+        if total is None:
+            first = n if P * B > 1 else 1
+            total = np.add.reduce(out[:, :first], axis=1)
+        for m in range(first, n):
+            total += out[:, m]
+    np.exp(total, out=total)
+    return total[0], total[1], ((buf[0], buf[1]) if keep else None)
 
 
 def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
@@ -351,10 +422,10 @@ def firing_batch(X: np.ndarray, alpha: AlphaLevel | float,
     DegenerateFiringError
         If some input fires every rule at numerically zero strength.
     """
-    lower, upper = smf_bounds(pmf_batch(X, params).T, alpha, params)
-    f_upper = _product_tnorm(upper)
+    f_lower, f_upper, _ = _slice_firings(pmf_batch(X, params).T, alpha,
+                                         params)
     _check_firing(f_upper)
-    return _product_tnorm(lower).T, f_upper.T
+    return f_lower.T, f_upper.T
 
 
 def _check_firing(f_upper: np.ndarray,
@@ -608,21 +679,39 @@ class BatchTerms(NamedTuple):
 
 
 def batch_terms(X: np.ndarray, params: ModelParams) -> BatchTerms:
-    """Check ``X`` once and compute its memberships and sorted consequents."""
-    X = np.asarray(X, dtype=float)
-    gamma, y = pmf_batch(X, params).T, _consequents(X, params)
-    order = np.argsort(y.T, axis=0, kind="stable")
-    # gather through flat positions: np.take on a flat index costs far
-    # less per call than take_along_axis on small batches.  Sorted entry
-    # (p, b) sits at order*B + b in each input's (P, B) memberships and in
-    # the (P, B) consequents.  The memberships go first, so that their
-    # unsorted array is freed before the consequents' copy is made; the
-    # other order left a fit's heap one (M, P, B) array larger
-    M, P, B = gamma.shape
+    """Check ``X`` once and compute its memberships and sorted consequents.
+
+    The consequents go first, and their unsorted array is freed once they
+    are sorted.  The memberships then run group by group
+    (:func:`_group_size`) in one buffer, each group gathered straight
+    into consequent order, so that the only (M, P, B) array the call holds
+    is its result.
+    """
+    X = _checked_inputs(X, params)
+    y = _consequents(X, params)
+    order = y.T.argsort(axis=0, kind="stable")
+    # gather through flat positions: ``take`` on a flat index costs far
+    # less per call than take_along_axis on small batches, and the method
+    # less than ``np.take``.  Sorted entry (p, b) sits at order*B + b in
+    # the (P, B) consequents and in each input's (P, B) memberships
+    B = X.shape[0]
     at = order * B
     at += np.arange(B)
-    gamma = np.take(gamma.reshape(M, P * B), at, axis=1)
-    return BatchTerms(gamma=gamma, y=np.take(y.T.copy(), at), order=order)
+    y = y.T.copy().take(at)
+    x, c, sigma = _input_major(X, params)
+    M, P = c.shape
+    gamma = np.empty((M, P, B))
+    step = _group_size(B)
+    buf = np.empty((min(step, M), P, B))
+    for start in range(0, M, step):
+        n = min(step, M - start)
+        inputs = slice(start, start + n)
+        part = _memberships(x[inputs], c[inputs], sigma[inputs], buf[:n])
+        # mode="clip" writes to ``out`` directly; the default mode buffers
+        # the result first.  Every index is in range, so nothing is clipped
+        part.reshape(n, P * B).take(at, axis=1, out=gamma[inputs],
+                                    mode="clip")
+    return BatchTerms(gamma=gamma, y=y, order=order)
 
 
 @dataclass(frozen=True)
@@ -630,17 +719,34 @@ class SliceForward:
     """One slice of the forward pass, with what backpropagation consumes.
 
     The (M, P, B) and (P, B) arrays are in consequent order, as in the
-    :class:`BatchTerms` the slice ran on.
+    :class:`BatchTerms` the slice ran on.  ``lower`` and ``upper``, which
+    only the training backward pass reads, are :func:`smf_bounds` of the
+    record's memberships: a slice of one input group keeps the bounds it
+    computed for its firings, and a larger one, which holds none, computes
+    them on first read (:func:`_slice_firings`).
     """
 
     alpha: AlphaLevel | float | np.ndarray  # as passed to slice_forward
-    lower: np.ndarray    # (M, P, B) membership bounds, clamped into [0, 1]
-    upper: np.ndarray
+    gamma: np.ndarray    # (M, P, B) memberships of the terms
+    params: ModelParams
     f_lower: np.ndarray  # (P, B) rule firings
     f_upper: np.ndarray
     lo: np.ndarray       # (B,) type-reduced interval
     hi: np.ndarray
     km: KMInternals
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return smf_bounds(self.gamma, self.alpha, self.params)
+
+    @property
+    def lower(self) -> np.ndarray:
+        """(M, P, B) membership bounds, clamped into [0, 1]."""
+        return self._bounds[0]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._bounds[1]
 
 
 def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float | np.ndarray,
@@ -656,13 +762,21 @@ def slice_forward(terms: BatchTerms, alpha: AlphaLevel | float | np.ndarray,
     sort of its own.  ``first_row`` offsets the row a
     :class:`DegenerateFiringError` names, for terms of a block of rows;
     terms that stack a block pass a (B,) array of each row's index.
+
+    Besides its (P, B) results, the call holds one bound buffer of at most
+    about ``_ROW_BLOCK`` rows of rules, or one (P, B) slab
+    (:func:`_slice_firings`), and the Karnik-Mendel workspace of at most
+    ``_ROW_BLOCK`` rows.
     """
-    lower, upper = smf_bounds(terms.gamma, alpha, params)
-    f_lower, f_upper = _product_tnorm(lower), _product_tnorm(upper)
+    f_lower, f_upper, bounds = _slice_firings(terms.gamma, alpha, params)
     _check_firing(f_upper, first_row)
     lo, hi, km = _km_sorted(f_lower, f_upper, terms.y, terms.order)
-    return SliceForward(alpha=alpha, lower=lower, upper=upper,
-                        f_lower=f_lower, f_upper=f_upper, lo=lo, hi=hi, km=km)
+    s = SliceForward(alpha=alpha, gamma=terms.gamma, params=params,
+                     f_lower=f_lower, f_upper=f_upper, lo=lo, hi=hi, km=km)
+    if bounds is not None:
+        # what the first read of ``lower`` or ``upper`` would compute
+        vars(s)["_bounds"] = bounds
+    return s
 
 
 def _slice_bounds(terms, alpha, params, first_row=0):
@@ -671,10 +785,29 @@ def _slice_bounds(terms, alpha, params, first_row=0):
     return s.lo, s.hi
 
 
-def trs_batch(X: np.ndarray, alpha: AlphaLevel | float,
+def trs_batch(X: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
               params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Interval bounds [lo, hi] at one slice for a batch, each (B,)."""
-    return _slice_bounds(batch_terms(X, params), alpha, params)
+    """Interval bounds [lo, hi] at one slice for a batch, each (B,).
+
+    ``alpha`` is one level, or a (B,) array with one level per row.  The
+    rows run in the blocks of :func:`predict_batch`, each with its own
+    :func:`batch_terms`, so that a call holds the terms of one block, not
+    of the whole batch.  Every row's bounds equal those of one
+    :func:`slice_forward` over all rows, bit for bit.
+    """
+    X = _checked_inputs(X, params)
+    B = X.shape[0]
+    alpha = _alpha_levels(alpha)
+    per_row = isinstance(alpha, np.ndarray)
+    if per_row and alpha.shape != (B,):
+        raise ValueError(f"per-row alpha of shape {alpha.shape} does not "
+                         f"match {B} input rows")
+    lo, hi = np.empty(B), np.empty(B)
+    for rows in _row_blocks(B):
+        lo[rows], hi[rows] = _slice_bounds(
+            batch_terms(X[rows], params), alpha[rows] if per_row else alpha,
+            params, rows.start)
+    return lo, hi
 
 
 def _block_bounds(terms: BatchTerms, levels: list[float], params: ModelParams,
@@ -735,7 +868,9 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     slices.  A block runs its distinct slice levels, ``alpha`` first, at
     most ``_ROW_BLOCK`` (row, slice) pairs per call: a single row runs all
     its slices in one call, a bulk block one slice per call.  Each slice's
-    bounds equal those of a one-slice call bit for bit.
+    bounds equal those of a one-slice call bit for bit.  A call holds the
+    terms of one block at a time, with the ``(lo, hi)`` of its levels and
+    the arrays of one slice call.
 
     Returns
     -------

@@ -428,13 +428,15 @@ class TestCoverageOracle:
     def test_memberships_computed_once_per_picker(self, calib, monkeypatch):
         m, X, y = calib
         calls = []
-        original = gt2cal.core.pmf_batch
+        original = gt2cal.core.batch_terms
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gt2cal.core, "pmf_batch", counting)
+        # batch_terms computes memberships, under both names it is bound to
+        monkeypatch.setattr(gt2cal.core, "batch_terms", counting)
+        monkeypatch.setattr(gt2cal.calibration, "batch_terms", counting)
         res = calibrate_search(m, X, y, SearchConfig(phi_d=0.6))
         assert res.iterations > 0 and len(calls) == 1
         calls.clear()
@@ -616,13 +618,14 @@ class TestBisectionTable:
         X = rng.normal(size=(250, 3))
         y = 0.5 * rng.normal(size=250)
         calls = []
-        real = gt2cal.core.smf_bounds
+        real = gt2cal.core._slice_firings
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gt2cal.core, "smf_bounds", counting)
+        # one call per slice: the firings of both ends
+        monkeypatch.setattr(gt2cal.core, "_slice_firings", counting)
         build_lookup_table(m, X, y, delta)
         assert len(calls) <= passes
 
@@ -634,13 +637,14 @@ class TestBisectionTable:
         X = rng.normal(size=(250, 3))
         y = 0.5 * rng.normal(size=250)
         calls = []
-        real = gt2cal.core.smf_bounds
+        real = gt2cal.core._slice_firings
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gt2cal.core, "smf_bounds", counting)
+        # one call per slice: the firings of both ends
+        monkeypatch.setattr(gt2cal.core, "_slice_firings", counting)
         build_lookup_table(m, X, y, delta)
         assert len(calls) == 1 + (n - 1).bit_length()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,6 @@ from gt2cal.core import (
     spread_scale,
     trs_batch,
     _km_sorted,
-    _product_tnorm,
     _ROW_BLOCK,
 )
 from gt2cal.errors import DegenerateFiringError
@@ -264,6 +264,17 @@ class TestFiring:
         m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
         with pytest.raises(DegenerateFiringError):
             firing_batch(np.array([[100.0]]), 1.0, m)
+
+
+def _product_tnorm(mu):
+    """The slice path's product t-norm of input-major (M, P, B) factors:
+    the upper firing of the alpha = 1 slice, whose bounds are the factors
+    themselves."""
+    M, P, _ = mu.shape
+    m = ModelParams(c=np.zeros((P, M)), sigma=np.ones((P, M)),
+                    sigma_l=np.ones(M), sigma_r=np.ones(M),
+                    a=np.zeros((P, M)), a0=np.zeros(P))
+    return core._slice_firings(mu, 1.0, m)[1]
 
 
 class TestProductTnorm:
@@ -685,6 +696,53 @@ class TestInputMajorSlice:
                 assert g.tobytes() == w.tobytes()
             assert s.km.order.T.tobytes() == order.tobytes()
 
+    @pytest.mark.parametrize("M", [8, 12, 30])
+    def test_one_rule_one_row_adds_inputs_in_order(self, M):
+        # with one value per (P, B) slab, numpy would sum the input axis
+        # pairwise from 8 inputs on; the slice must still add in order
+        rng = np.random.default_rng(M)
+        m = random_model(rng, n_rules=1, n_inputs=M)
+        gamma, y = slice_case(rng, 1, 1, M)
+        for alpha in (*self.ALPHAS, np.array([0.2])):
+            assert_slice_equals_row_major_reference(gamma, y, alpha, m)
+
+
+class TestInputGroups:
+    """Memberships and slice bounds run in groups of inputs sized to the
+    batch, and a slice of one group keeps its bounds; neither the group
+    size nor the keeping changes a bit."""
+
+    # at 30 rows: groups of 1, 3, 5 (the last one short) and 6 inputs, and
+    # by default one group of all 12
+    @pytest.mark.parametrize("row_block", [1, 90, 150, 200])
+    def test_group_size_changes_no_bit(self, rng, monkeypatch, row_block):
+        m = random_model(rng, n_rules=7, n_inputs=12)
+        X = rng.normal(size=(30, 12))
+        alphas = (0.01, 0.37, 1.0, rng.uniform(0.01, 1.0, 30))
+        want_terms = batch_terms(X, m)
+        want = [slice_forward(want_terms, a, m) for a in alphas]
+        monkeypatch.setattr(core, "_ROW_BLOCK", row_block)
+        assert core._group_size(30) < 12
+        terms = batch_terms(X, m)
+        for t, w in zip(terms, want_terms):
+            assert t.tobytes() == w.tobytes()
+        for alpha, w in zip(alphas, want):
+            s = slice_forward(terms, alpha, m)
+            assert "_bounds" in vars(w) and "_bounds" not in vars(s)
+            for name in ("f_lower", "f_upper", "lo", "hi", "lower", "upper"):
+                assert getattr(s, name).tobytes() == getattr(w, name).tobytes()
+
+    def test_bounds_read_are_smf_bounds(self, rng):
+        m = random_model(rng, n_rules=5, n_inputs=3)
+        for n_rows in (20, 2000):  # one group, then one input per group
+            terms = batch_terms(rng.normal(size=(n_rows, 3)), m)
+            for alpha in (0.01, 0.5, rng.uniform(0.01, 1.0, n_rows)):
+                s = slice_forward(terms, alpha, m)
+                lower, upper = smf_bounds(terms.gamma, alpha, m)
+                assert s.lower.tobytes() == lower.tobytes()
+                assert s.upper.tobytes() == upper.tobytes()
+                assert s.gamma is terms.gamma
+
 
 def one_input_model(c, a0, sigma_l, sigma_r):
     """Rules on one input with unit primary deviation and constant
@@ -880,13 +938,15 @@ class TestSharedForward:
 
     @pytest.mark.parametrize("n_rows", [2 * _ROW_BLOCK + 37, _ROW_BLOCK + 1])
     def test_row_blocks_equal_per_plane_trs_batch(self, rng, n_rows):
+        # the reference runs every slice over all rows at once, since
+        # trs_batch runs in the same row blocks as predict_batch
         m = random_model(rng, n_rules=10, n_inputs=4)
         X = rng.normal(size=(n_rows, 4))
         lo, hi, point = predict_batch(X, 0.37, m)
-        ref_lo, ref_hi = trs_batch(X, 0.37, m)
+        ref_lo, ref_hi = unblocked_bounds(X, 0.37, m)
         weighted = np.zeros(n_rows)
         for p in DEFAULT_PLANES:
-            plo, phi_ = trs_batch(X, p, m)
+            plo, phi_ = unblocked_bounds(X, p, m)
             weighted += 0.5 * (plo + phi_) * p
         np.testing.assert_array_equal(lo, ref_lo)
         np.testing.assert_array_equal(hi, ref_hi)
@@ -956,6 +1016,118 @@ class TestSharedForward:
         X[1500] = 100.0  # past the first row block
         with pytest.raises(DegenerateFiringError, match=r"input row 1500 "):
             predict_batch(X, 1.0, m)
+
+
+def unblocked_bounds(X, alpha, m):
+    """``trs_batch`` as one slice over every row: no row blocks."""
+    s = slice_forward(batch_terms(X, m), alpha, m)
+    return s.lo, s.hi
+
+
+class TestBlockedTrsBatch:
+    """``trs_batch`` runs in the row blocks of ``predict_batch``; every
+    row's bounds equal those of one slice over all rows, bit for bit."""
+
+    @pytest.mark.parametrize("n_rows", [_ROW_BLOCK, _ROW_BLOCK + 1,
+                                        2 * _ROW_BLOCK + 37])
+    def test_equals_one_unblocked_slice(self, rng, n_rows):
+        m = random_model(rng, n_rules=10, n_inputs=4)
+        X = rng.normal(size=(n_rows, 4))
+        for alpha in (0.01, 0.37, 1.0, rng.uniform(0.01, 1.0, n_rows)):
+            for g, w in zip(trs_batch(X, alpha, m),
+                            unblocked_bounds(X, alpha, m)):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n_rows, blocks", [
+        (1, 1), (_ROW_BLOCK, 1), (_ROW_BLOCK + 1, 2), (2 * _ROW_BLOCK + 37, 3)])
+    def test_batch_terms_once_per_row_block(self, rng, monkeypatch, n_rows,
+                                            blocks):
+        calls = []
+        real = core.batch_terms
+
+        def counting(X, params):
+            calls.append(len(X))
+            return real(X, params)
+
+        monkeypatch.setattr(core, "batch_terms", counting)
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        trs_batch(rng.normal(size=(n_rows, 2)), 0.5, m)
+        assert len(calls) == blocks
+        assert sum(calls) == n_rows
+        assert max(calls) <= _ROW_BLOCK
+
+    def test_per_row_alpha_equals_each_rows_own_slice(self, rng):
+        m = random_model(rng, n_rules=6, n_inputs=3)
+        n_rows = _ROW_BLOCK + 300
+        X = rng.normal(size=(n_rows, 3))
+        grid = np.array([0.01, 0.37, 1.0])
+        alphas = rng.choice(grid, n_rows)
+        lo, hi = trs_batch(X, alphas, m)
+        for a in grid:
+            rows = alphas == a
+            ref_lo, ref_hi = trs_batch(X, a, m)
+            np.testing.assert_array_equal(lo[rows], ref_lo[rows])
+            np.testing.assert_array_equal(hi[rows], ref_hi[rows])
+
+    @pytest.mark.parametrize("alphas", [np.full(9, 0.5), np.full(11, 0.5),
+                                        np.full((10, 1), 0.5),
+                                        np.array([0.5] * 9 + [1.5])])
+    def test_rejects_per_row_alpha_that_does_not_fit(self, rng, alphas):
+        m = random_model(rng, n_rules=3, n_inputs=2)
+        with pytest.raises(ValueError):
+            trs_batch(rng.normal(size=(10, 2)), alphas, m)
+
+    def test_degenerate_row_named_in_the_callers_batch(self):
+        m = single_rule_model(0.0, 0.01, 1e-9, 1e-9, 0.0, 0.0)
+        X = np.zeros((2000, 1))
+        X[1500] = 100.0  # in the second row block
+        with pytest.raises(DegenerateFiringError) as want:
+            unblocked_bounds(X, 1.0, m)
+        with pytest.raises(DegenerateFiringError,
+                           match=r"input row 1500 ") as got:
+            trs_batch(X, 1.0, m)
+        assert str(got.value) == str(want.value)
+
+
+class TestSliceMemory:
+    """The slice path holds no (M, P, B) bound arrays, and ``trs_batch``
+    holds the terms of one row block at a time, on a batch the size of
+    the benchmark's training split."""
+
+    M, P, B = 4, 10, 6698
+    ARRAY = M * P * B * 8  # bytes of one (M, P, B) float array
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(0)
+        m = random_model(rng, n_rules=self.P, n_inputs=self.M)
+        return m, rng.normal(size=(self.B, self.M))
+
+    @staticmethod
+    def _traced_peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_trs_batch_peaks_below_one_membership_array(self, case, per_row):
+        m, X = case
+        alpha = np.full(self.B, 0.37) if per_row else 0.37
+        peak = self._traced_peak(lambda: trs_batch(X, alpha, m))
+        assert peak < self.ARRAY
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_slice_forward_peaks_below_two_membership_arrays(self, case,
+                                                             per_row):
+        # above the terms it runs on, which exist before the call
+        m, X = case
+        terms = batch_terms(X, m)
+        alpha = np.full(self.B, 0.37) if per_row else 0.37
+        peak = self._traced_peak(lambda: slice_forward(terms, alpha, m))
+        assert peak < 2 * self.ARRAY
 
 
 class TestPerRowAlpha:
