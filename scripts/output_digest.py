@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Print a SHA-256 digest of every numeric output of this checkout.
 
-One ``name sha256`` line per output: trained parameters and per-epoch
-history (also with a one-row last minibatch), loss and gradient,
+The first line is a header that names the numpy version and the BLAS
+that numpy reports, since the digests hold for one such pair.  Then
+comes one ``name sha256`` line per output: trained parameters and
+per-epoch history (also with a one-row last minibatch, and on 2100
+rows, whose epoch-end pass runs in several row blocks), loss and gradient,
 piece signatures, batched prediction over one and several row blocks and
 at every slice grouping, single-row prediction, search calibration (also
 down to the step floor and from both ends of the slice range), the
@@ -21,7 +24,10 @@ point run scaled.  One more line hashes the text of the model files that
 statistics, training configuration and metadata.  Run it on two commits
 and diff the outputs: equal lines mean bit-identical results.
 
-Usage: python scripts/output_digest.py
+``tests/output_digest.txt`` holds the expected output, and a tier-1 test
+compares the script's output with it.
+
+Usage: python scripts/output_digest.py [> tests/output_digest.txt]
 """
 
 import hashlib
@@ -58,18 +64,26 @@ from gt2cal.training import (  # noqa: E402
 
 SEED = 3
 N_TRAIN, N_CAL, N_INPUTS, N_RULES = 800, 400, 4, 10
+#: Training rows of the fits whose epoch-end pass spans three row blocks.
+N_TRAIN_BLOCKS = 2100
 
 
-def make_data(seed):
+def header():
+    """The first line of the output: numpy's version and its BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__} blas {blas['name']} {blas['version']}"
+
+
+def make_data(seed, n_train=N_TRAIN):
     """Heteroscedastic nonlinear regression in z-scored units."""
     rng = np.random.default_rng(seed)
-    n = N_TRAIN + N_CAL
+    n = n_train + N_CAL
     X = rng.normal(size=(n, N_INPUTS))
     signal = np.sin(X[:, 0]) + 0.5 * X[:, 1] * X[:, 2] - 0.3 * X[:, 3]
     noise = (0.2 + 0.3 * np.abs(X[:, 0])) * rng.normal(size=n)
     y = signal + noise
     y = (y - y.mean()) / y.std()
-    return X[:N_TRAIN], y[:N_TRAIN], X[N_TRAIN:], y[N_TRAIN:]
+    return X[:n_train], y[:n_train], X[n_train:], y[n_train:]
 
 
 def emit(name, *parts):
@@ -86,6 +100,7 @@ def emit(name, *parts):
 
 
 def main():
+    print(header())
     X, y, Xc, yc = make_data(SEED)
     base = TrainConfig(n_rules=N_RULES, seed=SEED, lr=1e-2, epochs=3)
     stack = replace(base, point_output="plane-stack", epochs=1)
@@ -96,7 +111,12 @@ def main():
                    "alpha0-mb799": replace(base, minibatch=N_TRAIN - 1)}
 
     fits = {name: train(X, y, cfg) for name, cfg in fit_configs.items()}
-    for name, res in fits.items():
+    # the epoch-end pass over 2100 rows runs in three row blocks
+    Xw, yw = make_data(SEED, N_TRAIN_BLOCKS)[:2]
+    block_fits = {f"{name}-rows{N_TRAIN_BLOCKS}": train(Xw, yw, cfg)
+                  for name, cfg in (("alpha0", replace(base, epochs=2)),
+                                    ("plane-stack", stack))}
+    for name, res in {**fits, **block_fits}.items():
         p = res.params
         emit(f"train.{name}", p.c, p.sigma, p.sigma_l, p.sigma_r, p.a, p.a0,
              [res.best_loss, res.best_epoch], res.history_rows())

@@ -551,7 +551,7 @@ def _km_sorted(fls, fus, ys, order):
     Rows whose largest |y| is 2**512 or more are scaled by a power of two
     for the sums (:func:`_overflow_exponents`), which then cannot overflow.
     More than ``_ROW_BLOCK`` rows run in row blocks: the workspace of a
-    whole large batch, such as a training epoch's, would be the largest
+    whole large batch, such as a coverage oracle's, would be the largest
     temporary of its slice and raise peak memory.  Every row's results are
     the same either way.
     """
@@ -687,7 +687,11 @@ def batch_terms(X: np.ndarray, params: ModelParams) -> BatchTerms:
     into consequent order, so that the only (M, P, B) array the call holds
     is its result.
     """
-    X = _checked_inputs(X, params)
+    return _batch_terms(_checked_inputs(X, params), params)
+
+
+def _batch_terms(X: np.ndarray, params: ModelParams) -> BatchTerms:
+    """:func:`batch_terms` of a ``X`` that :func:`_checked_inputs` passed."""
     y = _consequents(X, params)
     order = y.T.argsort(axis=0, kind="stable")
     # gather through flat positions: ``take`` on a flat index costs far
@@ -805,7 +809,7 @@ def trs_batch(X: np.ndarray, alpha: AlphaLevel | float | np.ndarray,
     lo, hi = np.empty(B), np.empty(B)
     for rows in _row_blocks(B):
         lo[rows], hi[rows] = _slice_bounds(
-            batch_terms(X[rows], params), alpha[rows] if per_row else alpha,
+            _batch_terms(X[rows], params), alpha[rows] if per_row else alpha,
             params, rows.start)
     return lo, hi
 
@@ -888,7 +892,7 @@ def predict_batch(X: np.ndarray, alpha: AlphaLevel | float, params: ModelParams,
     B = X.shape[0]
     lo, hi, point = np.empty(B), np.empty(B), np.empty(B)
     for rows in _row_blocks(B):
-        bounds = _block_bounds(batch_terms(X[rows], params), levels, params,
+        bounds = _block_bounds(_batch_terms(X[rows], params), levels, params,
                                rows.start)
         lo[rows], hi[rows] = bounds[alpha]
         point[rows] = _plane_point(np.array([bounds[p] for p in plane_values]),

@@ -30,6 +30,7 @@ from .core import (
     _alpha_levels,
     _deviations,
     _param_views,
+    _row_blocks,
     batch_terms,
     km_reduce_batch,  # noqa: F401  (kept bound: bench/spans.py wraps it here)
     slice_forward,
@@ -253,8 +254,14 @@ def _forward(X, y, raw: RawParams, cfg: TrainConfig) -> ForwardResult:
     return _forward_at(X, y, raw.constrain(), cfg)
 
 
-def _forward_at(X, y, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
-    """:func:`_forward` with the parameters already constrained."""
+def _forward_at(X, y, params: ModelParams, cfg: TrainConfig,
+                first_row: int | np.ndarray = 0) -> ForwardResult:
+    """:func:`_forward` with the parameters already constrained.
+
+    ``first_row`` is the training-set index of the batch's first row, or a
+    (B,) array of each row's index there, so that a
+    :class:`~gt2cal.errors.DegenerateFiringError` names the training row.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -273,19 +280,22 @@ def _forward_at(X, y, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
         alphas += [a for a in cfg.planes if a != ALPHA_MIN]
         weights = [a if a in cfg.planes else 0.0 for a in alphas]
     weights = np.array(weights)
-    planes = [slice_forward(terms, a, params) for a in alphas]
+    planes = [slice_forward(terms, a, params, first_row) for a in alphas]
 
     base = planes[0]
     centers = np.stack([0.5 * (p.lo + p.hi) for p in planes])
     point = weights @ centers / weights.sum()
-
-    eps = y - point
-    loss = float(np.mean(log_cosh_loss(eps) +
-                         pinball_pair_loss(y, base.lo, base.hi,
-                                           cfg.tau_lo, cfg.tau_hi)))
-    return ForwardResult(loss=loss, point=point, lo=base.lo, hi=base.hi,
+    return ForwardResult(loss=_mean_loss(y, point, base.lo, base.hi, cfg),
+                         point=point, lo=base.lo, hi=base.hi,
                          params=params, terms=terms,
                          planes=planes, weights=weights)
+
+
+def _mean_loss(y, point, lo, hi, cfg: TrainConfig) -> float:
+    """The training loss of rows with these targets and outputs: one mean
+    over the rows' terms."""
+    return float(np.mean(log_cosh_loss(y - point) +
+                         pinball_pair_loss(y, lo, hi, cfg.tau_lo, cfg.tau_hi)))
 
 
 def _rule_positions(order, M):
@@ -342,12 +352,13 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
 
 
 def _loss_and_flat_grad(X, y, theta: np.ndarray, P: int, M: int,
-                        cfg: TrainConfig):
+                        cfg: TrainConfig, first_row: int | np.ndarray = 0):
     """Training loss over a batch and its gradient, both at and as a flat
-    :meth:`RawParams.to_vector` of P rules and M inputs."""
+    :meth:`RawParams.to_vector` of P rules and M inputs; ``first_row`` as
+    in :func:`_forward_at`."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg)
+    fwd = _forward_at(X, y, _flat_params(theta, P, M), cfg, first_row)
     params = fwd.params
     terms = fwd.terms
     back = _rule_positions(terms.order, M)
@@ -501,15 +512,30 @@ class TrainResult:
 def _epoch_row(X, y, params: ModelParams, cfg: TrainConfig,
                epoch: int) -> dict:
     """The training-log entry of one epoch: the loss, bottom-slice PICP and
-    RMSE of one full-set pass, whose arrays die when this returns."""
-    fwd = _forward_at(X, y, params, cfg)
-    if not np.isfinite(fwd.loss):
+    RMSE of one full-set pass.
+
+    The pass runs in the near-equal row blocks of
+    :func:`~gt2cal.core.predict_batch`, and keeps only each block's
+    ``lo``, ``hi`` and point, so that it holds the terms and slices of one
+    block at a time.  A row's outputs do not depend on the other rows of
+    its block, and the loss is one mean over all rows' terms, so the entry
+    equals that of one pass over all rows, bit for bit.
+    """
+    n = X.shape[0]
+    lo, hi, point = np.empty(n), np.empty(n), np.empty(n)
+    for rows in _row_blocks(n):
+        fwd = _forward_at(X[rows], y[rows], params, cfg, rows.start)
+        lo[rows], hi[rows], point[rows] = fwd.lo, fwd.hi, fwd.point
+        # freed before the next block's pass, not when it is reassigned
+        del fwd
+    loss = _mean_loss(y, point, lo, hi, cfg)
+    if not np.isfinite(loss):
         raise DivergenceError(
             f"non-finite training loss at epoch {epoch}", epoch=epoch)
-    covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
+    covered = np.mean((lo <= y) & (y <= hi))
     return dict(zip(HISTORY_COLUMNS, (
-        epoch, fwd.loss, float(covered),
-        float(np.sqrt(np.mean((y - fwd.point) ** 2))))))
+        epoch, loss, float(covered),
+        float(np.sqrt(np.mean((y - point) ** 2))))))
 
 
 def train(X, y, cfg: TrainConfig) -> TrainResult:
@@ -524,12 +550,13 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
     step's constrained parameters are views into one copy of it (one
     softplus covers the three deviation families, which sit next to each
     other), and the gradient is written straight into one vector of the
-    same layout.  Each epoch gathers its shuffled rows once and steps over
-    contiguous slices of them, then evaluates the full set in one pass
-    that is not row-blocked; only that pass's log entry outlives it, so a
-    fit holds one full-set evaluation at a time.  ``X`` and ``y`` are
-    never written to, and no array of the result shares memory with
-    another or with the inputs.
+    same layout.  Each step gathers its minibatch from the epoch's shuffled
+    row order, and each epoch ends with a full-set pass in row blocks
+    (:func:`_epoch_row`), so that beyond ``X`` and ``y`` a fit holds the
+    arrays of one minibatch or one row block, and (n,) vectors.  A
+    :class:`~gt2cal.errors.DegenerateFiringError` names the training-set
+    row that failed.  ``X`` and ``y`` are never written to, and no array of
+    the result shares memory with another or with the inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -549,11 +576,10 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        X_epoch, y_epoch = X[order], y[order]
         for start in range(0, n, cfg.minibatch):
-            rows = slice(start, start + cfg.minibatch)
-            loss, grad = _loss_and_flat_grad(X_epoch[rows], y_epoch[rows],
-                                             theta, P, M, cfg)
+            rows = order[start:start + cfg.minibatch]
+            loss, grad = _loss_and_flat_grad(X[rows], y[rows], theta, P, M,
+                                             cfg, rows)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at epoch {epoch}", epoch=epoch)
@@ -563,15 +589,11 @@ def train(X, y, cfg: TrainConfig) -> TrainResult:
                     epoch=epoch)
             # a new vector each step: best_theta keeps its values
             theta, state = adam_step(theta, grad, state, lr=cfg.lr)
-        # the shuffled copy is not needed by the full-set pass, which sets
-        # the peak memory of a fit
-        del X_epoch, y_epoch
 
-        # one pass over all rows, not row-blocked: blocks would be bit for
-        # bit and save little memory, but the smaller heap they leave
-        # makes later calibration probes page (README, "Conventions worth
-        # knowing").  Only its log entry outlives the call, so a fit holds
-        # one such pass at a time
+        # one pass over all rows, in row blocks; only its log entry
+        # outlives the call.  The small heap the blocks leave makes a
+        # calibration that follows in the process page (README,
+        # "Conventions worth knowing")
         row = _epoch_row(X, y, _flat_params(theta, P, M), cfg, epoch)
         history.append(row)
         if row["loss"] < best_loss:

@@ -7,7 +7,8 @@ the per-cumsum Karnik-Mendel sums, kept verbatim; one slice in the
 (rows, P, M) layout, with the in-place t-norm, as the package computed it
 before its slice arrays went input-major; and the training loop that
 stepped on a fresh :class:`RawParams` per minibatch, which calls the
-package's forward and backward helpers and so follows their layout.
+package's forward and backward helpers and so follows their layout, and
+the epoch-end log entry of one unblocked pass over all training rows.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from gt2cal.training import (
     TrainConfig,
     TrainResult,
     _backward_km,
+    _forward_at,
     _rule_positions,
     _sigmoid,
     _to_rule_order,
@@ -317,6 +319,18 @@ def loss_and_grad(X, y, raw: RawParams, cfg: TrainConfig):
         a0=d_a0,
     )
     return fwd.loss, grad
+
+
+def epoch_row(X, y, params, cfg: TrainConfig, epoch: int) -> dict:
+    """The training-log entry of one epoch from one pass over all rows, as
+    ``training._epoch_row`` computed it before it ran in row blocks."""
+    fwd = _forward_at(X, y, params, cfg)
+    if not np.isfinite(fwd.loss):
+        raise DivergenceError(
+            f"non-finite training loss at epoch {epoch}", epoch=epoch)
+    covered = np.mean((fwd.lo <= y) & (y <= fwd.hi))
+    return {"epoch": epoch, "loss": fwd.loss, "picp_alpha0": float(covered),
+            "rmse": float(np.sqrt(np.mean((y - fwd.point) ** 2)))}
 
 
 def train(X, y, cfg: TrainConfig) -> TrainResult:

@@ -961,18 +961,36 @@ class TestSharedForward:
     def test_batch_terms_once_per_row_block(self, rng, monkeypatch,
                                             n_rows, blocks):
         calls = []
-        real = core.batch_terms
+        real = core._batch_terms
 
         def counting(X, params):
             calls.append(len(X))
             return real(X, params)
 
-        monkeypatch.setattr(core, "batch_terms", counting)
+        monkeypatch.setattr(core, "_batch_terms", counting)
         m = random_model(rng, n_rules=3, n_inputs=2)
         predict_batch(rng.normal(size=(n_rows, 2)), 0.5, m)
         assert len(calls) == blocks
         assert sum(calls) == n_rows
         assert max(calls) <= _ROW_BLOCK
+
+    @pytest.mark.parametrize("call", [
+        lambda X, m: predict(X[0], 0.5, m),
+        lambda X, m: predict_batch(X, 0.5, m),
+        lambda X, m: trs_batch(X, 0.5, m)], ids=["predict", "predict_batch",
+                                                 "trs_batch"])
+    def test_inputs_are_checked_once(self, rng, monkeypatch, call):
+        calls = []
+        real = core._checked_inputs
+
+        def counting(X, params):
+            calls.append(len(X))
+            return real(X, params)
+
+        monkeypatch.setattr(core, "_checked_inputs", counting)
+        call(rng.normal(size=(2 * _ROW_BLOCK + 37, 2)),
+             random_model(rng, n_rules=3, n_inputs=2))
+        assert len(calls) == 1
 
     def test_slice_runs_no_sort_and_no_gather(self, rng, monkeypatch):
         m = random_model(rng, n_rules=6, n_inputs=3)
@@ -1043,13 +1061,13 @@ class TestBlockedTrsBatch:
     def test_batch_terms_once_per_row_block(self, rng, monkeypatch, n_rows,
                                             blocks):
         calls = []
-        real = core.batch_terms
+        real = core._batch_terms
 
         def counting(X, params):
             calls.append(len(X))
             return real(X, params)
 
-        monkeypatch.setattr(core, "batch_terms", counting)
+        monkeypatch.setattr(core, "_batch_terms", counting)
         m = random_model(rng, n_rules=3, n_inputs=2)
         trs_batch(rng.normal(size=(n_rows, 2)), 0.5, m)
         assert len(calls) == blocks

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from gt2cal.core import ALPHA_MIN, DEFAULT_PLANES, ModelParams, predict_batch
-from gt2cal.errors import DivergenceError
+from gt2cal.errors import DegenerateFiringError, DivergenceError
 from gt2cal.training import (
     AdamState,
     RawParams,
     TrainConfig,
+    _epoch_row,
     _forward,
     _forward_at,
     adam_step,
@@ -209,9 +210,30 @@ class TestTotalLoss:
         raw.rho_sigma_l = np.full(2, -60.0)
         X = np.array([[0.1, -0.2], [1e6, 1e6], [0.3, 0.0]])
         y = np.zeros(3)
-        from gt2cal.errors import DegenerateFiringError
         with pytest.raises(DegenerateFiringError, match="row 1"):
             _forward(X, y, raw, TrainConfig(n_rules=3)).loss
+
+    def test_training_step_names_the_training_row(self):
+        # row 257 falls in a shuffled minibatch at position 17
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(300, 2))
+        X[257] = [1e3, -1e3]
+        cfg = TrainConfig(n_rules=3, epochs=1, seed=0,
+                          point_output="plane-stack")
+        with pytest.raises(DegenerateFiringError, match=r"input row 257 "):
+            train(X, np.sin(X[:, 0]), cfg)
+
+    def test_epoch_pass_names_the_training_row(self):
+        # 2500 rows: row 1900 lies in the third of three row blocks
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(2500, 2))
+        X[1900] = [1e3, -1e3]
+        raw = random_raw(21)
+        raw.rho_sigma_r = np.full(2, -60.0)  # secondary spread at the floor
+        raw.rho_sigma_l = np.full(2, -60.0)
+        params = raw.constrain()
+        with pytest.raises(DegenerateFiringError, match=r"input row 1900 "):
+            _epoch_row(X, np.zeros(2500), params, TrainConfig(n_rules=3), 1)
 
 
 class TestGradient:
@@ -550,6 +572,22 @@ class TestFlatTraining:
             _, ref = oracles.loss_and_grad(X[rows], y[rows], raw, cfg)
             assert grad.to_vector().tobytes() == ref.to_vector().tobytes()
 
+    @pytest.mark.parametrize("n", [1025, 2500, 3073])
+    @pytest.mark.parametrize("point_output", ["alpha0", "plane-stack"])
+    def test_epoch_row_matches_one_unblocked_pass(self, n, point_output):
+        # uneven row blocks: 512 + 513, 2 x 833 + 834, 3 x 768 + 769
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
+        params = random_raw(4, n_rules=3, n_inputs=3).constrain()
+        cfg = TrainConfig(n_rules=3, point_output=point_output)
+        got = _epoch_row(X, y, params, cfg, 7)
+        want = oracles.epoch_row(X, y, params, cfg, 7)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert np.float64(got[key]).tobytes() == \
+                np.float64(value).tobytes(), key
+
     def test_forward_matches(self):
         X, y = _train_task()
         raw = random_raw(4, n_rules=3, n_inputs=3)
@@ -593,7 +631,14 @@ class TestTrainingAliasing:
 
 class TestTrainingMemory:
     """A fit holds one epoch-end full-set evaluation at a time, so more
-    epochs do not raise its peak memory."""
+    epochs do not raise its peak memory, and that evaluation runs in row
+    blocks, so more rows raise it by (n,) vectors only."""
+
+    @staticmethod
+    def _task(n, M):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, M))
+        return X, np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
 
     @staticmethod
     def _traced_peak(X, y, cfg):
@@ -607,12 +652,21 @@ class TestTrainingMemory:
     @pytest.mark.parametrize("point_output", ["alpha0", "plane-stack"])
     def test_more_epochs_do_not_raise_the_peak(self, point_output):
         n, M, P = 3000, 4, 10
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(n, M))
-        y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=n)
+        X, y = self._task(n, M)
         cfg = TrainConfig(n_rules=P, epochs=1, seed=1,
                           point_output=point_output)
         one = self._traced_peak(X, y, cfg)
         three = self._traced_peak(X, y, replace(cfg, epochs=3))
         # a second live pass would add at least one (M, P, n) array
         assert three - one < 0.5 * M * P * n * 8
+
+    @pytest.mark.parametrize("point_output", ["alpha0", "plane-stack"])
+    def test_more_rows_do_not_raise_the_peak_by_a_block(self, point_output):
+        # 3000 and 9000 rows both run in row blocks of 1000
+        M, P = 4, 10
+        cfg = TrainConfig(n_rules=P, epochs=1, seed=1,
+                          point_output=point_output)
+        small = self._traced_peak(*self._task(3000, M), cfg)
+        large = self._traced_peak(*self._task(9000, M), cfg)
+        # an unblocked pass would add (M, P, 6000) arrays
+        assert large - small < M * P * 1024 * 8
